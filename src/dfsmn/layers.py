@@ -141,15 +141,6 @@ def memory_block_backward(grad_ptilde: np.ndarray, p_seq: np.ndarray,
     return gp, d_back, d_ahead, g_skip
 
 
-def layer_output(ptilde_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                 activation: str) -> np.ndarray:
-    """Affine transform plus nonlinearity producing the next hidden sequence."""
-    if ptilde_seq.shape[1] != weight.shape[0]:
-        raise ShapeError(
-            f"output input dim {ptilde_seq.shape[1]} != weight rows {weight.shape[0]}")
-    return activate(activation, ptilde_seq @ weight + bias)
-
-
 @dataclass
 class DfsmnLayerCache:
     h_seq: np.ndarray

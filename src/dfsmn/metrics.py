@@ -27,45 +27,6 @@ class NormStats:
     floored: np.ndarray       # bool mask of dims whose std hit the floor
 
 
-@dataclass
-class AcousticTargets:
-    """Per-frame acoustic feature bundle across the four prediction tasks:
-    mel-cepstra, log-F0 (static/delta/acceleration), band aperiodicity, and a
-    binary voicing flag. Frame counts must agree; dims are whatever the
-    corpus provides (60/3/11/1 at full scale)."""
-
-    mcep: np.ndarray
-    lf0: np.ndarray
-    bap: np.ndarray
-    uv: np.ndarray
-
-    def __post_init__(self):
-        for name in ("mcep", "lf0", "bap", "uv"):
-            arr = np.asarray(getattr(self, name))
-            if arr.ndim != 2:
-                raise ShapeError(f"{name}: expected T x D, got shape {arr.shape}")
-            setattr(self, name, arr)
-        frames = {a.shape[0] for a in (self.mcep, self.lf0, self.bap, self.uv)}
-        if len(frames) != 1:
-            raise ShapeError(f"streams disagree on frame count: {sorted(frames)}")
-        if not np.all((self.uv == 0.0) | (self.uv == 1.0)):
-            raise ValueError("uv flags must be binary")
-
-    @property
-    def frames(self) -> int:
-        return self.mcep.shape[0]
-
-    def streams(self) -> dict:
-        return {"mcep": self.mcep, "lf0": self.lf0, "bap": self.bap, "uv": self.uv}
-
-    @classmethod
-    def from_streams(cls, streams: dict) -> "AcousticTargets":
-        missing = {"mcep", "lf0", "bap", "uv"} - set(streams)
-        if missing:
-            raise ShapeError(f"missing stream(s) {sorted(missing)}")
-        return cls(streams["mcep"], streams["lf0"], streams["bap"], streams["uv"])
-
-
 def fit_norm(sequences) -> NormStats:
     """Pool frames of all sequences and fit per-dim zero-mean/unit-variance stats."""
     seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
@@ -82,12 +43,6 @@ def fit_norm(sequences) -> NormStats:
     std = pooled.std(axis=0)  # population (1/N)
     floored = std < STD_FLOOR
     return NormStats(mean=mean, std=np.maximum(std, STD_FLOOR), floored=floored)
-
-
-def fit_norm_streams(sequences_by_stream: dict) -> dict:
-    """Per-stream normalization stats: {stream name: NormStats} fitted over
-    that stream's sequences. The keys label which dims the stats describe."""
-    return {name: fit_norm(seqs) for name, seqs in sorted(sequences_by_stream.items())}
 
 
 def apply_norm(seq, stats: NormStats) -> np.ndarray:

@@ -8,7 +8,10 @@ Layout (all integers little-endian uint32 unless noted):
     tensors in declaration order, each as: ndim, dims..., raw payload
 
 Payload dtype follows the embedded config's precision flag ("<f4" or "<f8").
-Round-trips are byte-exact: save(load(f)) reproduces f bit for bit.
+Loading allocates the tensors the embedded config describes, zero-filled and
+with no seeded init, after checking that the bytes left after the config can
+hold that many parameters. Round-trips are byte-exact: save(load(f))
+reproduces f bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import struct
 
 import numpy as np
 
-from .network import (NetworkConfig, NetworkParams, build_network,
-                      config_to_json, iter_tensors, parse_config)
+from .network import (NetworkConfig, NetworkParams, config_to_json, count_params,
+                      iter_tensors, parse_config, zeros_network)
 
 MAGIC = b"DFSM"
 VERSION = 1
@@ -91,8 +94,12 @@ def load_model(path):
         raise VersionMismatchError(f"file version {version}, reader supports {VERSION}")
     cfg = parse_config(r.take(r.u32()).decode("utf-8"))
     wire = _wire_dtype(cfg)
-    # allocate the right shapes, then overwrite every tensor from the file
-    params = build_network(cfg, seed=0)
+    payload = count_params(cfg) * wire.itemsize
+    left = len(r.data) - r.pos
+    if left < payload:
+        raise TruncatedFileError(
+            f"config needs {payload} payload bytes, file has {left} after it")
+    params = zeros_network(cfg)
     for _, path_name, arr in iter_tensors(cfg, params):
         ndim = r.u32()
         shape = tuple(r.u32() for _ in range(ndim))

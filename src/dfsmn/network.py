@@ -85,33 +85,49 @@ class NetworkConfig:
         return resolve_dtype(self.precision)
 
 
+def _check_int(value, loc: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{loc}: must be an integer, got {value!r}")
+    return value
+
+
+def _check_dim(value, loc: str) -> None:
+    if _check_int(value, loc) < 1:
+        raise ConfigError(f"{loc}: must be >= 1, got {value}")
+
+
 def validate_config(cfg: NetworkConfig) -> None:
     if not cfg.layers:
         raise ConfigError("layers: need at least one layer")
-    if cfg.input_dim < 1:
-        raise ConfigError(f"input_dim: must be >= 1, got {cfg.input_dim}")
+    _check_dim(cfg.input_dim, "input_dim")
     if not cfg.output_streams:
         raise ConfigError("output_streams: need at least one stream")
     resolve_dtype(cfg.precision)
+    for si, s in enumerate(cfg.output_streams):
+        loc = f"output_streams[{si}]"
+        if not isinstance(s.name, str):
+            raise ConfigError(f"{loc}.name: must be a string, got {s.name!r}")
+        _check_dim(s.dim, f"{loc}.dim")
+        if s.activation not in L.ACTIVATIONS:
+            raise ConfigError(f"{loc}.activation: unknown {s.activation!r}")
     names = [s.name for s in cfg.output_streams]
     if len(set(names)) != len(names):
         raise ConfigError(f"output_streams: duplicate names in {names}")
-    for si, s in enumerate(cfg.output_streams):
-        if s.dim < 1:
-            raise ConfigError(f"output_streams[{si}].dim: must be >= 1, got {s.dim}")
-        if s.activation not in L.ACTIVATIONS:
-            raise ConfigError(f"output_streams[{si}].activation: unknown {s.activation!r}")
     proj_dims = set()
     any_skip = False
     for li, spec in enumerate(cfg.layers):
         loc = f"layers[{li}]"
         if isinstance(spec, DfsmnLayerSpec):
-            if spec.hidden < 1 or spec.proj < 1:
-                raise ConfigError(f"{loc}: dims must be >= 1")
-            if spec.n_back < 0 or spec.n_ahead < 0:
-                raise ConfigError(f"{loc}: orders must be >= 0")
-            if spec.stride_back < 1 or spec.stride_ahead < 1:
-                raise ConfigError(f"{loc}: strides must be >= 1")
+            _check_dim(spec.hidden, f"{loc}.hidden")
+            _check_dim(spec.proj, f"{loc}.proj")
+            for name in ("n_back", "n_ahead", "stride_back", "stride_ahead"):
+                _check_int(getattr(spec, name), f"{loc}.{name}")
+            if not isinstance(spec.skip, bool):
+                raise ConfigError(f"{loc}.skip: must be true or false, got {spec.skip!r}")
+            try:
+                spec.memory_config()
+            except ValueError as e:
+                raise ConfigError(f"{loc}: {e}")
             if spec.activation not in L.ACTIVATIONS:
                 raise ConfigError(f"{loc}.activation: unknown {spec.activation!r}")
             if spec.skip:
@@ -121,8 +137,7 @@ def validate_config(cfg: NetworkConfig) -> None:
                         f"{loc}: skip needs an immediately preceding memory-block layer")
             proj_dims.add(spec.proj)
         elif isinstance(spec, FcLayerSpec):
-            if spec.hidden < 1:
-                raise ConfigError(f"{loc}: hidden must be >= 1")
+            _check_dim(spec.hidden, f"{loc}.hidden")
             if spec.activation not in L.ACTIVATIONS:
                 raise ConfigError(f"{loc}.activation: unknown {spec.activation!r}")
         else:
@@ -227,8 +242,8 @@ def parse_config(text: str) -> NetworkConfig:
     )
 
     if isinstance(doc["layers"], str):
-        if "order" not in doc:
-            raise ConfigError("config: shorthand 'layers' needs 'order'")
+        if not isinstance(doc.get("order"), str):
+            raise ConfigError("config: shorthand 'layers' needs an 'order' string")
         try:
             return expand_shorthand(
                 doc["layers"], doc["order"],
@@ -317,21 +332,17 @@ def config_to_json(cfg: NetworkConfig) -> str:
 # parameters
 
 @dataclass
-class FcLayerParams:
-    weight: np.ndarray
-    bias: np.ndarray
+class Affine:
+    """Weight and bias of a plain affine layer or an output head."""
 
-
-@dataclass
-class HeadParams:
-    weight: np.ndarray  # d_top x dim
-    bias: np.ndarray
+    weight: np.ndarray  # d_in x d_out
+    bias: np.ndarray    # d_out
 
 
 @dataclass
 class NetworkParams:
-    layers: list = field(default_factory=list)
-    heads: dict = field(default_factory=dict)  # stream name -> HeadParams
+    layers: list = field(default_factory=list)  # DfsmnLayerParams or Affine
+    heads: dict = field(default_factory=dict)   # stream name -> Affine
 
 
 def iter_tensors(cfg: NetworkConfig, params: NetworkParams) -> Iterator[tuple]:
@@ -365,6 +376,33 @@ def layer_dims(cfg: NetworkConfig) -> list:
     return dims
 
 
+def zeros_network(cfg: NetworkConfig) -> NetworkParams:
+    """Zero-filled parameters of the configured shapes; the one place that
+    writes the tensor layout down (iter_tensors fixes the order)."""
+    dt = cfg.dtype()
+    dims = layer_dims(cfg)
+
+    def zeros(*shape):
+        return np.zeros(shape, dtype=dt)
+
+    params = NetworkParams()
+    for spec, d_in in zip(cfg.layers, dims):
+        if isinstance(spec, DfsmnLayerSpec):
+            params.layers.append(L.DfsmnLayerParams(
+                proj_weight=zeros(d_in, spec.proj),
+                proj_bias=zeros(spec.proj),
+                back_taps=zeros(spec.n_back + 1, spec.proj),
+                ahead_taps=zeros(spec.n_ahead, spec.proj),
+                out_weight=zeros(spec.proj, spec.hidden),
+                out_bias=zeros(spec.hidden),
+            ))
+        else:
+            params.layers.append(Affine(zeros(d_in, spec.hidden), zeros(spec.hidden)))
+    for s in cfg.output_streams:
+        params.heads[s.name] = Affine(zeros(dims[-1], s.dim), zeros(s.dim))
+    return params
+
+
 def build_network(cfg: NetworkConfig, seed: int) -> NetworkParams:
     """Initialize parameters: weights ~ N(0, 1/fan_in), biases and taps zero.
 
@@ -372,41 +410,12 @@ def build_network(cfg: NetworkConfig, seed: int) -> NetworkParams:
     from the same function class. Deterministic in (cfg, seed): tensor k in
     declaration order draws from the substream derive_seed(seed, k).
     """
-    dt = cfg.dtype()
-    dims = layer_dims(cfg)
-    params = NetworkParams()
-    tensor_idx = 0
-
-    def weight(rows, cols):
-        nonlocal tensor_idx
-        w = seeded_normal(derive_seed(seed, tensor_idx), rows, cols,
-                          stddev=1.0 / np.sqrt(rows), dtype=dt)
-        tensor_idx += 1
-        return w
-
-    def zeros(*shape):
-        nonlocal tensor_idx
-        tensor_idx += 1
-        return np.zeros(shape, dtype=dt)
-
-    for li, spec in enumerate(cfg.layers):
-        d_in = dims[li]
-        if isinstance(spec, DfsmnLayerSpec):
-            params.layers.append(L.DfsmnLayerParams(
-                proj_weight=weight(d_in, spec.proj),
-                proj_bias=zeros(spec.proj),
-                back_taps=zeros(spec.n_back + 1, spec.proj),
-                ahead_taps=zeros(spec.n_ahead, spec.proj),
-                out_weight=weight(spec.proj, spec.hidden),
-                out_bias=zeros(spec.hidden),
-            ))
-        else:
-            params.layers.append(FcLayerParams(
-                weight=weight(d_in, spec.hidden), bias=zeros(spec.hidden)))
-    d_top = dims[-1]
-    for s in cfg.output_streams:
-        params.heads[s.name] = HeadParams(weight=weight(d_top, s.dim),
-                                          bias=zeros(s.dim))
+    params = zeros_network(cfg)
+    for k, (cls, _, arr) in enumerate(iter_tensors(cfg, params)):
+        if cls.endswith("weight"):
+            rows, cols = arr.shape
+            arr[...] = seeded_normal(derive_seed(seed, k), rows, cols,
+                                     stddev=1.0 / np.sqrt(rows), dtype=arr.dtype)
     return params
 
 
@@ -470,21 +479,6 @@ def forward(params: NetworkParams, cfg: NetworkConfig, input_seq) -> tuple:
     return head_out, NetworkCache(cfg, x, caches, h, head_pre, head_out, params)
 
 
-def zeros_like_params(cfg: NetworkConfig, params: NetworkParams) -> NetworkParams:
-    out = NetworkParams()
-    for spec, p in zip(cfg.layers, params.layers):
-        if isinstance(spec, DfsmnLayerSpec):
-            out.layers.append(L.DfsmnLayerParams(*(np.zeros_like(t) for t in (
-                p.proj_weight, p.proj_bias, p.back_taps, p.ahead_taps,
-                p.out_weight, p.out_bias))))
-        else:
-            out.layers.append(FcLayerParams(np.zeros_like(p.weight),
-                                            np.zeros_like(p.bias)))
-    for name, hp in params.heads.items():
-        out.heads[name] = HeadParams(np.zeros_like(hp.weight), np.zeros_like(hp.bias))
-    return out
-
-
 def backward(cache: NetworkCache, grad_streams: dict,
              want_input_grad: bool = False):
     """Back-propagate per-stream output gradients to every parameter.
@@ -511,8 +505,7 @@ def backward(cache: NetworkCache, grad_streams: dict,
             raise ShapeError(f"stream {s.name!r}: grad shape {g.shape} != {out.shape}")
         dpre = g * L.activate_grad(s.activation, pre, out)
         hp = cache.params.heads[s.name]
-        grads.heads[s.name] = HeadParams(weight=cache.top_hidden.T @ dpre,
-                                         bias=dpre.sum(axis=0))
+        grads.heads[s.name] = Affine(cache.top_hidden.T @ dpre, dpre.sum(axis=0))
         grad_top += dpre @ hp.weight.T
 
     layer_grads = [None] * len(cfg.layers)
@@ -528,7 +521,7 @@ def backward(cache: NetworkCache, grad_streams: dict,
         else:
             assert pending_skip is None
             grad_h, dw, db = L.fc_layer_backward(lcache, grad_h)
-            layer_grads[li] = FcLayerParams(dw, db)
+            layer_grads[li] = Affine(dw, db)
             pending_skip = None
     grads.layers = layer_grads
     if want_input_grad:

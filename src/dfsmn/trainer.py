@@ -7,7 +7,6 @@ acoustic toy for overfit sanity runs.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -72,28 +71,21 @@ def multitask_mse(pred_streams: dict, target_streams: dict, weights=None):
     return loss, grads
 
 
-def _walk_pairs(a: NetworkParams, b: NetworkParams):
-    if len(a.layers) != len(b.layers) or set(a.heads) != set(b.heads):
-        raise ShapeError("parameter structures differ")
-    for pa, pb in zip(a.layers, b.layers):
-        for f in dataclasses.fields(pa):
-            yield getattr(pa, f.name), getattr(pb, f.name)
-    for name in a.heads:
-        yield a.heads[name].weight, b.heads[name].weight
-        yield a.heads[name].bias, b.heads[name].bias
-
-
-def sgd_step(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:
+def sgd_step(cfg: NetworkConfig, params: NetworkParams, grads: NetworkParams,
+             lr: float) -> NetworkParams:
     """In-place theta <- theta - lr * grad over every tensor."""
-    for p, g in _walk_pairs(params, grads):
+    for (_, path, p), (_, _, g) in zip(net.iter_tensors(cfg, params),
+                                       net.iter_tensors(cfg, grads), strict=True):
         if p.shape != g.shape:
-            raise ShapeError(f"param shape {p.shape} != grad shape {g.shape}")
+            raise ShapeError(f"{path}: param shape {p.shape} != grad shape {g.shape}")
         p -= lr * g
     return params
 
 
-def accumulate_grads(acc: NetworkParams, grads: NetworkParams, scale: float) -> None:
-    for a, g in _walk_pairs(acc, grads):
+def accumulate_grads(cfg: NetworkConfig, acc: NetworkParams, grads: NetworkParams,
+                     scale: float) -> None:
+    for (_, _, a), (_, _, g) in zip(net.iter_tensors(cfg, acc), net.iter_tensors(cfg, grads),
+                                    strict=True):
         a += scale * g
 
 
@@ -202,39 +194,14 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
 
     report = GradCheckReport(tolerance=tolerance, step=step)
     rng = Counter64(derive_seed(seed, 7300))
-
-    def probe(cls: str, arr, analytic, idx) -> None:
-        old = arr.flat[idx]
-        arr.flat[idx] = old + step
-        lp = loss_value()
-        arr.flat[idx] = old - step
-        lm = loss_value()
-        arr.flat[idx] = old
-        err = _rel_err(analytic.flat[idx], (lp - lm) / (2 * step))
-        report.max_rel_err[cls] = max(report.max_rel_err.get(cls, 0.0), err)
-        report.checked[cls] = report.checked.get(cls, 0) + 1
-
     for cls, pairs in by_class.items():
         coords = [(arr, g, i) for arr, g in pairs for i in range(arr.size)]
-        if not coords:
-            continue  # e.g. ahead_taps with zero look-ahead order
-        take = min(len(coords), samples_per_class)
-        chosen = set()
-        while len(chosen) < take:
-            chosen.add(rng.below(len(coords)))
-        for ci in sorted(chosen):
+        for ci in _sample(rng, len(coords), samples_per_class):
             arr, g, i = coords[ci]
-            probe(cls, arr, g, i)
-
-    # network input gradient
-    take = min(x.size, samples_per_class)
-    chosen = set()
-    while len(chosen) < take:
-        chosen.add(rng.below(x.size))
-    for i in sorted(chosen):
-        probe("input", x, grad_in, i)
-
-    _check_skip_gradient(cfg, cache, report, rng, step, samples_per_class)
+            _probe(report, cls, loss_value, arr, g, i)
+    for i in _sample(rng, x.size, samples_per_class):
+        _probe(report, "input", loss_value, x, grad_in, i)
+    _check_skip_gradient(cfg, cache, report, rng, samples_per_class)
 
     report.worst_class, report.worst_err = max(
         report.max_rel_err.items(), key=lambda kv: kv[1])
@@ -242,7 +209,28 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
     return report
 
 
-def _check_skip_gradient(cfg, cache, report, rng, step, samples_per_class):
+def _sample(rng: Counter64, n: int, k: int) -> list:
+    """min(n, k) distinct indices below n, sorted."""
+    chosen = set()
+    while len(chosen) < min(n, k):
+        chosen.add(rng.below(n))
+    return sorted(chosen)
+
+
+def _probe(report: GradCheckReport, cls: str, loss, arr, analytic, idx) -> None:
+    """Central difference of loss() in arr.flat[idx] against analytic.flat[idx]."""
+    old = arr.flat[idx]
+    arr.flat[idx] = old + report.step
+    lp = loss()
+    arr.flat[idx] = old - report.step
+    lm = loss()
+    arr.flat[idx] = old
+    err = _rel_err(analytic.flat[idx], (lp - lm) / (2 * report.step))
+    report.max_rel_err[cls] = max(report.max_rel_err.get(cls, 0.0), err)
+    report.checked[cls] = report.checked.get(cls, 0) + 1
+
+
+def _check_skip_gradient(cfg, cache, report, rng, samples_per_class):
     """Isolated-layer check of d(output)/d(skip input) for the first layer
     with a skip connection; the skip input is free only at layer level."""
     skip_idx = next((li for li, s in enumerate(cfg.layers)
@@ -262,21 +250,8 @@ def _check_skip_gradient(cfg, cache, report, rng, step, samples_per_class):
 
     out, c2, _ = dfsmn_layer_forward(h_in, p, mcfg, skip, spec.activation)
     _, g_skip, _ = layer_backward(c2, out)
-
-    take = min(skip.size, samples_per_class)
-    chosen = set()
-    while len(chosen) < take:
-        chosen.add(rng.below(skip.size))
-    for i in sorted(chosen):
-        old = skip.flat[i]
-        skip.flat[i] = old + step
-        lp = local_loss()
-        skip.flat[i] = old - step
-        lm = local_loss()
-        skip.flat[i] = old
-        err = _rel_err(g_skip.flat[i], (lp - lm) / (2 * step))
-        report.max_rel_err["skip"] = max(report.max_rel_err.get("skip", 0.0), err)
-        report.checked["skip"] = report.checked.get("skip", 0) + 1
+    for i in _sample(rng, skip.size, samples_per_class):
+        _probe(report, "skip", local_loss, skip, g_skip, i)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +435,7 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
         epoch_frames = 0
         for bi, batch in enumerate(_batches(order, dataset, train_cfg.batch_frames)):
             total_frames = sum(seq.frames for seq in batch)
-            acc = net.zeros_like_params(cfg, params)
+            acc = net.zeros_network(cfg)
             batch_loss = 0.0
             for seq in batch:
                 outs, cache = net.forward(params, cfg, seq.inputs)
@@ -472,8 +447,8 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
                         f"(sequence {seq.seq_id})")
                 scale = seq.frames / total_frames
                 batch_loss += scale * loss
-                accumulate_grads(acc, net.backward(cache, grad_streams), scale)
-            sgd_step(params, acc, lr)
+                accumulate_grads(cfg, acc, net.backward(cache, grad_streams), scale)
+            sgd_step(cfg, params, acc, lr)
             epoch_loss += total_frames * batch_loss
             epoch_frames += total_frames
         train_mse = epoch_loss / epoch_frames

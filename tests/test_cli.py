@@ -1,11 +1,14 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from dfsmn.cli import main
 from dfsmn.features import read_feature, read_manifest
+from dfsmn.model_io import MAGIC, VERSION
+from dfsmn.network import config_to_json, expand_shorthand
 
 FP64_TANH_CONFIG = {
     "input_dim": 4,
@@ -171,6 +174,24 @@ class TestTrainEval:
         assert main(["train", "--config", str(cfg), "--data", str(echo_data),
                      "--out", str(tmp_path / "m.dfsmn")]) == 2
         assert "input dim" in capsys.readouterr().err
+
+    def test_train_mistyped_config_exits_2(self, tmp_path, echo_data, capsys):
+        layer = dict(ECHO_TRAIN_CONFIG["layers"][0], hidden=2.5)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(ECHO_TRAIN_CONFIG, layers=[layer])))
+        assert main(["train", "--config", str(cfg), "--data", str(echo_data),
+                     "--out", str(tmp_path / "m.dfsmn")]) == 2
+        assert "layers[0].hidden" in capsys.readouterr().err
+
+    def test_eval_header_only_huge_model_exits_2(self, tmp_path, echo_data, capsys):
+        cfg = expand_shorthand("1+0", "0,0,1,1", input_dim=100_000, hidden=100_000,
+                               proj=10_000)
+        cfg_bytes = config_to_json(cfg).encode("utf-8")
+        model = tmp_path / "huge.dfsmn"
+        model.write_bytes(MAGIC + struct.pack("<II", VERSION, len(cfg_bytes)) + cfg_bytes)
+        assert main(["eval", "--model", str(model),
+                     "--data", str(echo_data / "valid")]) == 2
+        assert "payload" in capsys.readouterr().err
 
     def test_eval_model_on_data(self, tmp_path, echo_data, capsys):
         cfg = self._write_cfg(tmp_path)

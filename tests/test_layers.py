@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dfsmn.layers import (DfsmnLayerParams, MemoryConfig, dfsmn_layer_forward,
                           fc_layer_backward, fc_layer_forward, layer_backward,
-                          layer_output, memory_block, project)
+                          memory_block, project)
 from dfsmn.tensor import Counter64, ShapeError
 
 
@@ -128,6 +128,11 @@ class TestMemoryBlock:
         out_dense = memory_block(p, dense, np.zeros((0, d)),
                                  MemoryConfig(n_back=n_back * stride, stride_back=1))
         assert np.array_equal(out_strided, out_dense)
+
+
+def layer_output(h_seq, weight, bias, activation):
+    """The affine-plus-activation output transform, as fc_layer_forward computes it."""
+    return fc_layer_forward(h_seq, weight, bias, activation)[0]
 
 
 class TestLayerOutput:

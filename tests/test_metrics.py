@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsmn.metrics import (AcousticTargets, apply_norm, bapd, f0_rmse,
-                           fit_norm, interpolate_f0, invert_norm, mcd, total_mse,
-                           uv_error)
+from dfsmn.metrics import (apply_norm, bapd, f0_rmse, fit_norm, interpolate_f0,
+                           invert_norm, mcd, total_mse, uv_error)
 from dfsmn.tensor import Counter64, ShapeError
 
 K_DB = 10.0 / math.log(10.0)
@@ -51,16 +50,6 @@ class TestNorm:
         b = np.array([[4.0]])
         stats = fit_norm([a, b])
         assert stats.mean[0] == 2.0
-
-    def test_stream_keyed_stats(self):
-        from dfsmn.metrics import fit_norm_streams
-        rng = Counter64(21)
-        data = {"mcep": [rng.normal(20).reshape(5, 4)],
-                "lf0": [rng.normal(10).reshape(5, 2)]}
-        stats = fit_norm_streams(data)
-        assert set(stats) == {"mcep", "lf0"}
-        assert stats["mcep"].mean.shape == (4,)
-        assert stats["lf0"].mean.shape == (2,)
 
 
 class TestInterpolateF0:
@@ -246,38 +235,6 @@ class TestTotalMse:
     def test_name_mismatch(self):
         with pytest.raises(ShapeError):
             total_mse({"a": np.zeros((1, 1))}, {"b": np.zeros((1, 1))})
-
-
-class TestAcousticTargets:
-    def _make(self, T=4):
-        rng = Counter64(11)
-        return AcousticTargets(
-            mcep=rng.normal(T * 6).reshape(T, 6),
-            lf0=rng.normal(T * 3).reshape(T, 3),
-            bap=rng.normal(T * 2).reshape(T, 2),
-            uv=(rng.uniform(T) > 0.5).astype(float).reshape(T, 1))
-
-    def test_streams_roundtrip(self):
-        targets = self._make()
-        again = AcousticTargets.from_streams(targets.streams())
-        assert np.array_equal(again.mcep, targets.mcep)
-        assert targets.frames == 4
-
-    def test_frame_count_mismatch_rejected(self):
-        t = self._make()
-        with pytest.raises(ShapeError, match="frame count"):
-            AcousticTargets(t.mcep, t.lf0[:-1], t.bap, t.uv)
-
-    def test_nonbinary_uv_rejected(self):
-        t = self._make()
-        with pytest.raises(ValueError, match="binary"):
-            AcousticTargets(t.mcep, t.lf0, t.bap, np.full((4, 1), 0.5))
-
-    def test_missing_stream_rejected(self):
-        with pytest.raises(ShapeError, match="uv"):
-            AcousticTargets.from_streams({"mcep": np.zeros((2, 6)),
-                                          "lf0": np.zeros((2, 3)),
-                                          "bap": np.zeros((2, 2))})
 
 
 class TestMeasureProperties:

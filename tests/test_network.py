@@ -1,16 +1,20 @@
+import hashlib
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dfsmn import layers as L
 from dfsmn import network as net
-from dfsmn.model_io import (BadMagicError, ModelFileError, TruncatedFileError,
-                            VersionMismatchError, load_model, save_model)
+from dfsmn.model_io import (MAGIC, VERSION, BadMagicError, ModelFileError,
+                            TruncatedFileError, VersionMismatchError, load_model,
+                            save_model)
 from dfsmn.network import (ConfigError, DfsmnLayerSpec, FcLayerSpec, NetworkConfig,
                            StreamSpec, build_network, config_to_json, count_params,
                            expand_shorthand, iter_tensors, parse_config,
-                           preset_config)
+                           preset_config, zeros_network)
 from dfsmn.tensor import Counter64, ShapeError, derive_seed
 
 
@@ -58,7 +62,36 @@ class TestPresets:
             assert count_params(cfg) > 0
 
 
+def two_block_doc(second=None, stream=None):
+    """A valid two-memory-block config document, with overrides on the second
+    layer or on the output stream."""
+    return {"input_dim": 3,
+            "layers": [{"type": "dfsmn", "hidden": 4, "proj": 2},
+                       {"type": "dfsmn", "hidden": 4, "proj": 2, "skip": True,
+                        **(second or {})}],
+            "output_streams": [{"name": "y", "dim": 1, **(stream or {})}]}
+
+
+BAD_DOCS = [
+    (two_block_doc(second={"skip": "no"}), r"layers\[1\]\.skip"),
+    (two_block_doc(second={"hidden": True}), r"layers\[1\]\.hidden"),
+    (two_block_doc(second={"hidden": 2.5}), r"layers\[1\]\.hidden"),
+    (two_block_doc(second={"n_ahead": None}), r"layers\[1\]\.n_ahead"),
+    (two_block_doc(second={"n_back": -1}), r"layers\[1\]: orders"),
+    (two_block_doc(second={"stride_ahead": 0}), r"layers\[1\]: strides"),
+    (two_block_doc(stream={"name": 7}), r"output_streams\[0\]\.name"),
+    (two_block_doc(stream={"dim": "2"}), r"output_streams\[0\]\.dim"),
+    ({"layers": "2+1", "order": "1,1,1,1", "hidden": 2.5}, r"layers\[0\]\.hidden"),
+    ({"layers": "2+1", "order": 5}, r"'order' string"),
+]
+
+
 class TestParseConfig:
+    @pytest.mark.parametrize("doc,where", BAD_DOCS)
+    def test_mistyped_or_out_of_range_field(self, doc, where):
+        with pytest.raises(ConfigError, match=where):
+            parse_config(json.dumps(doc))
+
     def test_preset_document(self):
         cfg = parse_config('{"preset": "A"}')
         assert cfg == preset_config("A")
@@ -159,9 +192,21 @@ class TestBuild:
     def test_count_matches_allocated_scalars(self):
         for cfg in (tiny_cfg(), tiny_cfg(n_dfsmn=1, n_fc=0, n_ahead=0),
                     expand_shorthand("2+2", "3,0,2,1", input_dim=5, hidden=6, proj=3)):
-            params = build_network(cfg, 0)
+            params = zeros_network(cfg)
             allocated = sum(arr.size for _, _, arr in iter_tensors(cfg, params))
             assert allocated == count_params(cfg)
+
+    @pytest.mark.parametrize("precision,digest", [
+        ("fp32", "985ed3ef6a2a3305dd62955ec005fe0e311bfd6a852565c6d9c48532782a3b59"),
+        ("fp64", "c50d65ebe24581d6caa8e665fe55a8292cfad35320cc6bb5a1c1aa8524e498b8"),
+    ])
+    def test_init_bytes_pinned(self, tmp_path, precision, digest):
+        # Any change to the tensor order, the seed derivation or the generator
+        # changes these bytes, and with them every trained model.
+        cfg = tiny_cfg(precision=precision)
+        path = tmp_path / "m.dfsmn"
+        save_model(build_network(cfg, 7), cfg, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_precision_respected(self):
         p32 = build_network(tiny_cfg(precision="fp32"), 0)
@@ -382,6 +427,37 @@ class TestModelFile:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(ModelFileError):
             load_model(path)
+
+    def test_huge_claimed_config_fails_before_allocating(self, tmp_path):
+        cfg = expand_shorthand("1+0", "0,0,1,1", input_dim=100_000, hidden=100_000,
+                               proj=10_000, output_streams=(StreamSpec("y", 1),))
+        assert count_params(cfg) > 10**9
+        cfg_bytes = config_to_json(cfg).encode("utf-8")
+        path = tmp_path / "huge.dfsmn"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(cfg_bytes)) + cfg_bytes)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError, match="payload"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_load_runs_no_seeded_init(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        params = build_network(cfg, 4)
+        path = tmp_path / "m.dfsmn"
+        save_model(params, cfg, path)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_model ran the seeded init")
+
+        monkeypatch.setattr(net, "seeded_normal", no_init)
+        loaded, _ = load_model(path)
+        for (_, _, a), (_, _, b) in zip(iter_tensors(cfg, params),
+                                        iter_tensors(cfg, loaded)):
+            assert np.array_equal(a, b)
 
     @pytest.mark.slow
     def test_preset_a_model_reports_full_count(self, tmp_path):

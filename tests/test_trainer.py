@@ -83,25 +83,25 @@ class TestSgdStep:
         cfg, params = self._params()
         before = [arr.copy() for _, _, arr in iter_tensors(cfg, params)]
         grads = build_network(cfg, 1)
-        sgd_step(params, grads, 0.0)
+        sgd_step(cfg, params, grads, 0.0)
         for b, (_, _, a) in zip(before, iter_tensors(cfg, params)):
             assert np.array_equal(a, b)
 
     def test_hand_case(self):
         cfg, params = self._params()
         params.heads["y"].bias[...] = 1.0
-        grads = net.zeros_like_params(cfg, params)
+        grads = net.zeros_network(cfg)
         grads.heads["y"].bias[...] = 2.0
-        sgd_step(params, grads, 0.5)
+        sgd_step(cfg, params, grads, 0.5)
         assert np.array_equal(params.heads["y"].bias, np.zeros(2))
 
     def test_two_half_steps_equal_one_full(self):
         cfg, pa = self._params(3)
         _, pb = self._params(3)
         grads = build_network(cfg, 9)
-        sgd_step(pa, grads, 0.1)
-        sgd_step(pb, grads, 0.05)
-        sgd_step(pb, grads, 0.05)
+        sgd_step(cfg, pa, grads, 0.1)
+        sgd_step(cfg, pb, grads, 0.05)
+        sgd_step(cfg, pb, grads, 0.05)
         for (_, _, a), (_, _, b) in zip(iter_tensors(cfg, pa), iter_tensors(cfg, pb)):
             assert np.max(np.abs(a - b)) < 1e-12
 
