@@ -60,8 +60,7 @@ def _write_records(path, records) -> None:
 
 
 def cmd_gradcheck(args) -> int:
-    with open(args.config) as f:
-        cfg = parse_config(f.read())
+    cfg = _load_config_arg(args)
     report = trainer.grad_check(cfg, frames=args.frames, seed=args.seed,
                                 step=args.step, tolerance=args.tol)
     for line in report.lines():
@@ -126,9 +125,9 @@ def cmd_eval(args) -> int:
         ref = _pooled_streams(load_dataset(args.ref or args.data))
         hyp = _pooled_streams(load_dataset(args.hyp))
     else:
-        if not args.model:
-            print("error: eval needs --model (or --hyp for direct comparison)",
-                  file=sys.stderr)
+        if not (args.model and args.data):
+            print("error: eval needs --model and --data (or --hyp for direct "
+                  "comparison)", file=sys.stderr)
             return 2
         params, cfg = load_model(args.model)
         dataset = load_dataset(args.data)

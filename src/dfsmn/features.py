@@ -131,12 +131,9 @@ def load_dataset(dirpath):
                 raise ModelFileError(
                     f"{prefix}{stream}.feat: header stream {name!r} != filename stream")
             targets[stream] = data
-        for stream, data in targets.items():
+        for stream, data in [(INPUT_STREAM, inputs), *targets.items()]:
             if data.shape[0] != frames:
                 raise ValueError(
                     f"{seq_id}.{stream}: {data.shape[0]} frames, manifest says {frames}")
-        if inputs.shape[0] != frames:
-            raise ValueError(
-                f"{seq_id}.{INPUT_STREAM}: {inputs.shape[0]} frames, manifest says {frames}")
         dataset.append(SequenceData(seq_id, inputs, targets))
     return dataset

@@ -95,50 +95,63 @@ def project(h_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarr
 
 
 def memory_block(p_seq: np.ndarray, back_taps: np.ndarray, ahead_taps: np.ndarray,
-                 cfg: MemoryConfig, skip_seq: Optional[np.ndarray] = None) -> np.ndarray:
-    """Weighted tap sum over past/future projected frames, zero padded."""
+                 cfg: MemoryConfig, skip_seq: Optional[np.ndarray] = None,
+                 bounds=None) -> np.ndarray:
+    """Weighted tap sum over past/future frames, zero padded at each bounds segment."""
     _check_block_args(p_seq, back_taps, ahead_taps, cfg, skip_seq)
-    T = p_seq.shape[0]
     out = p_seq.copy()
     if skip_seq is not None:
         out += skip_seq
-    for i in range(cfg.n_back + 1):
-        k = i * cfg.stride_back
-        if k == 0:
-            out += back_taps[i] * p_seq
-        elif k < T:
-            out[k:] += back_taps[i] * p_seq[:-k]
-    for j in range(1, cfg.n_ahead + 1):
-        k = j * cfg.stride_ahead
-        if k < T:
-            out[:-k] += ahead_taps[j - 1] * p_seq[k:]
+    for a, b in _segments(bounds, p_seq.shape[0]):
+        p, o, T = p_seq[a:b], out[a:b], b - a
+        for i in range(cfg.n_back + 1):
+            k = i * cfg.stride_back
+            if k == 0:
+                o += back_taps[i] * p
+            elif k < T:
+                o[k:] += back_taps[i] * p[:-k]
+        for j in range(1, cfg.n_ahead + 1):
+            k = j * cfg.stride_ahead
+            if k < T:
+                o[:-k] += ahead_taps[j - 1] * p[k:]
     return out
 
 
 def memory_block_backward(grad_ptilde: np.ndarray, p_seq: np.ndarray,
                           back_taps: np.ndarray, ahead_taps: np.ndarray,
-                          cfg: MemoryConfig, has_skip: bool):
+                          cfg: MemoryConfig, has_skip: bool, bounds=None):
     """Gradients of the tap sum: returns (d p_seq, d back_taps, d ahead_taps, d skip)."""
-    T = p_seq.shape[0]
-    g = grad_ptilde
-    gp = g.copy()
+    gp = grad_ptilde.copy()
     d_back = np.zeros_like(back_taps)
     d_ahead = np.zeros_like(ahead_taps)
-    for i in range(cfg.n_back + 1):
-        k = i * cfg.stride_back
-        if k == 0:
-            gp += back_taps[i] * g
-            d_back[i] = (g * p_seq).sum(axis=0)
-        elif k < T:
-            gp[:-k] += back_taps[i] * g[k:]
-            d_back[i] = (g[k:] * p_seq[:-k]).sum(axis=0)
-    for j in range(1, cfg.n_ahead + 1):
-        k = j * cfg.stride_ahead
-        if k < T:
-            gp[k:] += ahead_taps[j - 1] * g[:-k]
-            d_ahead[j - 1] = (g[:-k] * p_seq[k:]).sum(axis=0)
-    g_skip = g.copy() if has_skip else None
+    for a, b in _segments(bounds, p_seq.shape[0]):
+        g, p, gps, T = grad_ptilde[a:b], p_seq[a:b], gp[a:b], b - a
+        for i in range(cfg.n_back + 1):
+            k = i * cfg.stride_back
+            if k == 0:
+                gps += back_taps[i] * g
+                d_back[i] += (g * p).sum(axis=0)
+            elif k < T:
+                gps[:-k] += back_taps[i] * g[k:]
+                d_back[i] += (g[k:] * p[:-k]).sum(axis=0)
+        for j in range(1, cfg.n_ahead + 1):
+            k = j * cfg.stride_ahead
+            if k < T:
+                gps[k:] += ahead_taps[j - 1] * g[:-k]
+                d_ahead[j - 1] += (g[:-k] * p[k:]).sum(axis=0)
+    g_skip = grad_ptilde.copy() if has_skip else None
     return gp, d_back, d_ahead, g_skip
+
+
+def _segments(bounds, T: int) -> list:
+    """bounds, checked to tile rows [0, T) in order with non-empty (start, end)
+    ranges; None stands for the one range (0, T)."""
+    if bounds is None:
+        return [(0, T)]
+    ends = [0] + [b for _, b in bounds]
+    if [a for a, _ in bounds] + [T] != ends or any(b <= a for a, b in bounds):
+        raise ShapeError(f"bounds {bounds} do not tile [0, {T}) with non-empty ranges")
+    return bounds
 
 
 @dataclass
@@ -151,6 +164,7 @@ class DfsmnLayerCache:
     params: DfsmnLayerParams
     cfg: MemoryConfig
     activation: str
+    bounds: Optional[list] = None
 
 
 @dataclass
@@ -163,17 +177,20 @@ class FcLayerCache:
 
 
 def dfsmn_layer_forward(h_seq: np.ndarray, params: DfsmnLayerParams, cfg: MemoryConfig,
-                        skip_seq: Optional[np.ndarray] = None, activation: str = "relu"):
+                        skip_seq: Optional[np.ndarray] = None, activation: str = "relu",
+                        bounds=None):
     """Full layer: project -> memory block -> output transform.
 
     Returns (h_next, cache, ptilde); ptilde is what a following layer's skip
-    input consumes.
+    input consumes. bounds is passed to memory_block and kept for backward.
     """
     p_seq = project(h_seq, params.proj_weight, params.proj_bias)
-    ptilde = memory_block(p_seq, params.back_taps, params.ahead_taps, cfg, skip_seq)
+    ptilde = memory_block(p_seq, params.back_taps, params.ahead_taps, cfg, skip_seq,
+                          bounds=bounds)
     pre = ptilde @ params.out_weight + params.out_bias
     out = activate(activation, pre)
-    cache = DfsmnLayerCache(h_seq, p_seq, ptilde, pre, out, params, cfg, activation)
+    cache = DfsmnLayerCache(h_seq, p_seq, ptilde, pre, out, params, cfg, activation,
+                            bounds)
     return out, cache, ptilde
 
 
@@ -207,7 +224,8 @@ def layer_backward(cache: DfsmnLayerCache, grad_out: np.ndarray,
     if grad_ptilde is not None:
         dptilde = dptilde + grad_ptilde
     dp, d_back, d_ahead, g_skip = memory_block_backward(
-        dptilde, cache.p_seq, p.back_taps, p.ahead_taps, cache.cfg, cache.cfg.skip)
+        dptilde, cache.p_seq, p.back_taps, p.ahead_taps, cache.cfg, cache.cfg.skip,
+        bounds=cache.bounds)
     d_proj_weight = cache.h_seq.T @ dp
     d_proj_bias = dp.sum(axis=0)
     grad_in = dp @ p.proj_weight.T

@@ -106,8 +106,7 @@ def load_model(path):
         if shape != arr.shape:
             raise ModelFileError(
                 f"tensor {path_name}: stored shape {shape} != expected {arr.shape}")
-        n = int(np.prod(shape)) if shape else 1
-        payload = r.take(n * wire.itemsize)
+        payload = r.take(arr.size * wire.itemsize)
         arr[...] = np.frombuffer(payload, dtype=wire).reshape(shape)
     if r.pos != len(r.data):
         raise ModelFileError(f"{len(r.data) - r.pos} trailing bytes after last tensor")

@@ -102,7 +102,8 @@ def validate_config(cfg: NetworkConfig) -> None:
     _check_dim(cfg.input_dim, "input_dim")
     if not cfg.output_streams:
         raise ConfigError("output_streams: need at least one stream")
-    resolve_dtype(cfg.precision)
+    if cfg.precision not in ("fp32", "fp64"):
+        raise ConfigError(f"precision: expected 'fp32' or 'fp64', got {cfg.precision!r}")
     for si, s in enumerate(cfg.output_streams):
         loc = f"output_streams[{si}]"
         if not isinstance(s.name, str):
@@ -196,7 +197,7 @@ PRESETS = {
 
 
 def preset_config(name: str, precision: str = "fp32") -> NetworkConfig:
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; have {' '.join(sorted(PRESETS))}")
     counts, orders = PRESETS[name]
     return expand_shorthand(counts, orders, precision=precision)
@@ -370,10 +371,7 @@ def iter_tensors(cfg: NetworkConfig, params: NetworkParams) -> Iterator[tuple]:
 
 def layer_dims(cfg: NetworkConfig) -> list:
     """Input width of every layer plus the final hidden width."""
-    dims = [cfg.input_dim]
-    for spec in cfg.layers:
-        dims.append(spec.hidden)
-    return dims
+    return [cfg.input_dim] + [spec.hidden for spec in cfg.layers]
 
 
 def zeros_network(cfg: NetworkConfig) -> NetworkParams:
@@ -442,7 +440,6 @@ def count_params(cfg: NetworkConfig) -> int:
 @dataclass
 class NetworkCache:
     cfg: NetworkConfig
-    input_seq: np.ndarray
     layer_caches: list
     top_hidden: np.ndarray
     head_pre: dict
@@ -450,8 +447,9 @@ class NetworkCache:
     params: NetworkParams
 
 
-def forward(params: NetworkParams, cfg: NetworkConfig, input_seq) -> tuple:
-    """Run the stack; returns ({stream: T x dim}, cache for backward)."""
+def forward(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds=None) -> tuple:
+    """Run the stack; returns ({stream: T x dim}, cache for backward). bounds
+    lists the (start, end) rows of the sequences packed into input_seq."""
     x = as_sequence(input_seq, dtype=cfg.dtype())
     if x.shape[1] != cfg.input_dim:
         raise ShapeError(f"input dim {x.shape[1]} != configured {cfg.input_dim}")
@@ -463,7 +461,7 @@ def forward(params: NetworkParams, cfg: NetworkConfig, input_seq) -> tuple:
             mcfg = spec.memory_config()
             skip_seq = prev_ptilde if mcfg.skip else None
             h, cache, ptilde = L.dfsmn_layer_forward(h, p, mcfg, skip_seq,
-                                                     spec.activation)
+                                                     spec.activation, bounds=bounds)
             prev_ptilde = ptilde
         else:
             h, cache = L.fc_layer_forward(h, p.weight, p.bias, spec.activation)
@@ -476,7 +474,7 @@ def forward(params: NetworkParams, cfg: NetworkConfig, input_seq) -> tuple:
         pre = h @ hp.weight + hp.bias
         head_pre[s.name] = pre
         head_out[s.name] = L.activate(s.activation, pre)
-    return head_out, NetworkCache(cfg, x, caches, h, head_pre, head_out, params)
+    return head_out, NetworkCache(cfg, caches, h, head_pre, head_out, params)
 
 
 def backward(cache: NetworkCache, grad_streams: dict,
@@ -488,12 +486,9 @@ def backward(cache: NetworkCache, grad_streams: dict,
     shaped like NetworkParams, plus the input gradient when requested.
     """
     cfg = cache.cfg
-    missing = {s.name for s in cfg.output_streams} - set(grad_streams)
-    if missing:
-        raise KeyError(f"missing stream gradients: {sorted(missing)}")
-    extra = set(grad_streams) - {s.name for s in cfg.output_streams}
-    if extra:
-        raise KeyError(f"unknown stream gradients: {sorted(extra)}")
+    names = {s.name for s in cfg.output_streams}
+    if set(grad_streams) != names:
+        raise KeyError(f"stream gradients {sorted(grad_streams)}, want {sorted(names)}")
 
     grads = NetworkParams()
     grad_top = np.zeros_like(cache.top_hidden)

@@ -82,13 +82,6 @@ def sgd_step(cfg: NetworkConfig, params: NetworkParams, grads: NetworkParams,
     return params
 
 
-def accumulate_grads(cfg: NetworkConfig, acc: NetworkParams, grads: NetworkParams,
-                     scale: float) -> None:
-    for (_, _, a), (_, _, g) in zip(net.iter_tensors(cfg, acc), net.iter_tensors(cfg, grads),
-                                    strict=True):
-        a += scale * g
-
-
 @dataclass
 class LrScheduler:
     """Decays lr by decay_factor after `patience` consecutive validation
@@ -383,24 +376,26 @@ def check_dataset(cfg: NetworkConfig, dataset) -> None:
 def evaluate_mse(params, cfg, dataset, weights=None) -> float:
     """Frame-weighted multi-task MSE over a dataset."""
     total = 0.0
-    frames = 0
     for seq in dataset:
-        outs, _ = net.forward(params, cfg, seq.inputs)
-        loss, _ = multitask_mse(outs, _cast_targets(seq, cfg), weights)
+        inputs, targets, _ = _pack([seq], cfg)
+        outs, _ = net.forward(params, cfg, inputs)
+        loss, _ = multitask_mse(outs, targets, weights)
         total += seq.frames * loss
-        frames += seq.frames
-    return total / frames
+    return total / sum(seq.frames for seq in dataset)
 
 
-def _cast_targets(seq: SequenceData, cfg: NetworkConfig) -> dict:
-    dt = cfg.dtype()
-    return {s.name: seq.targets[s.name].astype(dt, copy=False)
-            for s in cfg.output_streams}
+def _pack(batch, cfg: NetworkConfig):
+    """Sequences stacked into one frame matrix: (inputs, {stream: targets in
+    cfg precision}, the (start, end) rows of each sequence)."""
+    ends = np.cumsum([seq.frames for seq in batch]).tolist()
+    targets = {s.name: np.concatenate([seq.targets[s.name] for seq in batch])
+               .astype(cfg.dtype(), copy=False) for s in cfg.output_streams}
+    return (np.concatenate([seq.inputs for seq in batch]), targets,
+            list(zip([0] + ends[:-1], ends)))
 
 
 def _batches(order, dataset, batch_frames):
-    batch = []
-    frames = 0
+    batch, frames = [], 0
     for idx in order:
         batch.append(dataset[idx])
         frames += dataset[idx].frames
@@ -415,9 +410,10 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
           valid=None):
     """SGD over whole-sequence minibatches of >= batch_frames frames.
 
-    Batch loss is the frame-weighted mean of per-sequence losses, so the
-    reported number matches the loss over the concatenated batch. Returns
-    (params, [EpochStats per epoch]). Deterministic in (seed, cfg, dataset).
+    Each minibatch is packed into one frame matrix for one forward, backward
+    and SGD step, with memory-block taps kept inside each sequence; loss and
+    gradient are frame-weighted sums over the sequences. Returns (params,
+    [EpochStats per epoch]). Deterministic in (seed, cfg, dataset).
     """
     check_dataset(cfg, dataset)
     valid_set = valid if valid else dataset
@@ -427,32 +423,28 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
                         min_improvement=train_cfg.min_improvement)
     weights = train_cfg.stream_weights
     history = []
-    lr = train_cfg.lr
     for epoch in range(train_cfg.max_epochs):
         order = list(range(len(dataset)))
         Counter64(derive_seed(train_cfg.seed, epoch)).shuffle(order)
         epoch_loss = 0.0
-        epoch_frames = 0
         for bi, batch in enumerate(_batches(order, dataset, train_cfg.batch_frames)):
-            total_frames = sum(seq.frames for seq in batch)
-            acc = net.zeros_network(cfg)
+            inputs, targets, bounds = _pack(batch, cfg)
+            total_frames = len(inputs)
+            outs, cache = net.forward(params, cfg, inputs, bounds=bounds)
             batch_loss = 0.0
-            for seq in batch:
-                outs, cache = net.forward(params, cfg, seq.inputs)
-                loss, grad_streams = multitask_mse(outs, _cast_targets(seq, cfg),
-                                                   weights)
+            for seq, (a, b) in zip(batch, bounds):
+                loss, _ = multitask_mse({n: o[a:b] for n, o in outs.items()},
+                                        {n: t[a:b] for n, t in targets.items()}, weights)
                 if not math.isfinite(loss):
                     raise RuntimeError(
                         f"non-finite loss at epoch {epoch} batch {bi} "
                         f"(sequence {seq.seq_id})")
-                scale = seq.frames / total_frames
-                batch_loss += scale * loss
-                accumulate_grads(cfg, acc, net.backward(cache, grad_streams), scale)
-            sgd_step(cfg, params, acc, lr)
+                batch_loss += (b - a) / total_frames * loss
+            _, grad_streams = multitask_mse(outs, targets, weights)
+            sgd_step(cfg, params, net.backward(cache, grad_streams), sched.lr)
             epoch_loss += total_frames * batch_loss
-            epoch_frames += total_frames
-        train_mse = epoch_loss / epoch_frames
+        train_mse = epoch_loss / sum(seq.frames for seq in dataset)
         valid_mse = evaluate_mse(params, cfg, valid_set, weights)
-        history.append(EpochStats(epoch, lr, train_mse, valid_mse))
-        lr = sched.step(valid_mse)
+        history.append(EpochStats(epoch, sched.lr, train_mse, valid_mse))
+        sched.step(valid_mse)
     return params, history

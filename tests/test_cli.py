@@ -37,7 +37,8 @@ def _tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for fn in files:
             path = os.path.join(dirpath, fn)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
     return out
 
 
@@ -223,6 +224,15 @@ class TestTrainEval:
 
     def test_eval_without_model_or_hyp_exits_2(self, capsys):
         assert main(["eval", "--data", "/tmp"]) == 2
+
+    def test_eval_model_without_data_exits_2(self, tmp_path, echo_data, capsys):
+        model = tmp_path / "m.dfsmn"
+        assert main(["train", "--config", str(self._write_cfg(tmp_path)),
+                     "--data", str(echo_data), "--out", str(model),
+                     "--epochs", "1"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model)]) == 2
+        assert "--data" in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_echo_lag8_learned_end_to_end(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dfsmn.layers import (DfsmnLayerParams, MemoryConfig, dfsmn_layer_forward,
                           fc_layer_backward, fc_layer_forward, layer_backward,
-                          memory_block, project)
+                          memory_block, memory_block_backward, project)
 from dfsmn.tensor import Counter64, ShapeError
 
 
@@ -129,6 +129,76 @@ class TestMemoryBlock:
                                  MemoryConfig(n_back=n_back * stride, stride_back=1))
         assert np.array_equal(out_strided, out_dense)
 
+
+
+class TestPackedBounds:
+    # segment lengths include a 1-frame sequence and ones shorter than the
+    # tap reach (4 frames back, 2 ahead)
+    CFG = MemoryConfig(n_back=2, n_ahead=2, stride_back=2, stride_ahead=1, skip=True)
+    LENGTHS = (6, 1, 3, 2, 9)
+
+    def _arrays(self, seed, T, d=3):
+        rng = Counter64(seed)
+
+        def f32(rows):
+            return rng.normal(rows * d).reshape(rows, d).astype(np.float32)
+        return f32(T), f32(T), f32(T), f32(3), f32(2)
+
+    def _bounds(self):
+        ends = np.cumsum(self.LENGTHS).tolist()
+        return list(zip([0] + ends[:-1], ends))
+
+    def test_forward_rows_equal_separate_calls(self):
+        bounds = self._bounds()
+        p, skip, _, back, ahead = self._arrays(21, bounds[-1][1])
+        packed = memory_block(p, back, ahead, self.CFG, skip, bounds=bounds)
+        for a, b in bounds:
+            alone = memory_block(p[a:b], back, ahead, self.CFG, skip[a:b])
+            assert packed[a:b].tobytes() == alone.tobytes()
+
+    def test_backward_rows_equal_separate_calls(self):
+        bounds = self._bounds()
+        p, _, g, back, ahead = self._arrays(22, bounds[-1][1])
+        gp, d_back, d_ahead, g_skip = memory_block_backward(
+            g, p, back, ahead, self.CFG, True, bounds=bounds)
+        sum_back, sum_ahead = np.zeros_like(back), np.zeros_like(ahead)
+        for a, b in bounds:
+            gp_s, d_back_s, d_ahead_s, g_skip_s = memory_block_backward(
+                g[a:b], p[a:b], back, ahead, self.CFG, True)
+            assert gp[a:b].tobytes() == gp_s.tobytes()
+            assert g_skip[a:b].tobytes() == g_skip_s.tobytes()
+            sum_back += d_back_s
+            sum_ahead += d_ahead_s
+        # tap gradients add the per-sequence ones in sequence order
+        assert np.array_equal(d_back, sum_back)
+        assert np.array_equal(d_ahead, sum_ahead)
+
+    def test_default_is_one_segment(self):
+        p, _, g, back, ahead = self._arrays(23, 10)
+        cfg = MemoryConfig(n_back=2, n_ahead=2, stride_back=2)
+        assert np.array_equal(memory_block(p, back, ahead, cfg),
+                              memory_block(p, back, ahead, cfg, bounds=[(0, 10)]))
+        for x, y in zip(memory_block_backward(g, p, back, ahead, cfg, False),
+                        memory_block_backward(g, p, back, ahead, cfg, False,
+                                              bounds=[(0, 10)])):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("bounds", [
+        [(0, 3), (4, 6)],          # gap
+        [(0, 4), (3, 6)],          # overlap
+        [(0, 3), (3, 3), (3, 6)],  # empty segment
+        [(0, 5)],                  # stops short of T
+        [(0, 3), (3, 7)],          # runs past T
+        [(1, 6)],                  # starts after 0
+        [],                        # covers nothing
+    ])
+    def test_malformed_bounds_rejected(self, bounds):
+        p, _, g, back, ahead = self._arrays(24, 6)
+        cfg = MemoryConfig(n_back=2, n_ahead=2)
+        with pytest.raises(ShapeError, match="bounds"):
+            memory_block(p, back, ahead, cfg, bounds=bounds)
+        with pytest.raises(ShapeError, match="bounds"):
+            memory_block_backward(g, p, back, ahead, cfg, False, bounds=bounds)
 
 def layer_output(h_seq, weight, bias, activation):
     """The affine-plus-activation output transform, as fc_layer_forward computes it."""

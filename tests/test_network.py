@@ -1,10 +1,13 @@
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsmn import layers as L
 from dfsmn import network as net
@@ -83,7 +86,61 @@ BAD_DOCS = [
     (two_block_doc(stream={"dim": "2"}), r"output_streams\[0\]\.dim"),
     ({"layers": "2+1", "order": "1,1,1,1", "hidden": 2.5}, r"layers\[0\]\.hidden"),
     ({"layers": "2+1", "order": 5}, r"'order' string"),
+    ({"layers": "2+1", "order": "1,1,1,1", "precision": []}, r"^precision: "),
+    (dict(two_block_doc(), precision="fp16"), r"^precision: "),
+    ({"preset": "A", "precision": {}}, r"^precision: "),
+    ({"preset": []}, r"unknown preset"),
 ]
+
+
+def config_documents():
+    """JSON objects built over the config keys, in the three document forms:
+    each value is mostly one a config might hold and sometimes arbitrary
+    JSON; a fourth form mixes every key, unknown ones included."""
+    anything = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 10**12) | st.floats()
+        | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6)
+
+    def maybe(plausible):
+        return st.sampled_from(range(8)).flatmap(lambda i: plausible if i else anything)
+
+    def fields(required=None, **optional):
+        return st.fixed_dictionaries(
+            {k: maybe(v) for k, v in (required or {}).items()},
+            optional={k: maybe(v) for k, v in optional.items()})
+
+    dim = st.integers(1, 4)
+    order = st.integers(0, 3)
+    stride = st.integers(1, 3)
+    activation = st.sampled_from(L.ACTIVATIONS + ("gelu",))
+    precision = st.sampled_from(["fp32", "fp64", "fp16"])
+    layer = st.one_of(
+        fields({"type": st.just("dfsmn")}, hidden=dim, proj=dim, n_back=order,
+               n_ahead=order, stride_back=stride, stride_ahead=stride,
+               skip=st.booleans(), activation=activation),
+        fields({"type": st.sampled_from(["fc", "lstm"])}, hidden=dim,
+               activation=activation))
+    streams = st.lists(fields({"name": st.sampled_from(["y", "uv", ""]), "dim": dim},
+                              activation=activation), min_size=1, max_size=2)
+    return st.one_of(
+        fields({"preset": st.sampled_from(["A", "E", "I", "Z"])}, precision=precision),
+        fields({"layers": st.from_regex(r"\A-?[0-3]\+-?[0-2]\Z"),
+                "order": st.from_regex(r"\A([0-3],){2,4}-?[0-3]\Z")},
+               input_dim=dim, hidden=dim, proj=dim, activation=activation,
+               output_streams=streams, precision=precision),
+        fields({"layers": st.lists(layer, min_size=1, max_size=3)}, input_dim=dim,
+               output_streams=streams, precision=precision),
+        fields(preset=st.just("A"), layers=st.just("1+1"), order=st.just("1,1,1,1"),
+               input_dim=dim, hidden=dim, proj=dim, activation=activation,
+               output_streams=streams, precision=precision, bogus=dim))
+
+
+# where a ConfigError message says the fault is
+LOCATED = (r"(config|input_dim|layers|order|output_streams|precision|unknown preset"
+           r"|skip connections)\b")
 
 
 class TestParseConfig:
@@ -91,6 +148,22 @@ class TestParseConfig:
     def test_mistyped_or_out_of_range_field(self, doc, where):
         with pytest.raises(ConfigError, match=where):
             parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("precision", ["fp16", None, 32, ["fp32"]])
+    def test_direct_config_with_bad_precision(self, precision):
+        with pytest.raises(ConfigError, match=r"^precision: "):
+            tiny_cfg(precision=precision)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=config_documents())
+    def test_fuzzed_document_parses_or_raises_config_error(self, doc):
+        try:
+            cfg = parse_config(json.dumps(doc))
+        except ConfigError as e:
+            # a location or a named field, not a bare Python type error
+            assert re.match(LOCATED, str(e)), str(e)
+        else:
+            assert count_params(cfg) > 0
 
     def test_preset_document(self):
         cfg = parse_config('{"preset": "A"}')

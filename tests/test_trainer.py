@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dfsmn import network as net
+from dfsmn import trainer
 from dfsmn.features import SequenceData
 from dfsmn.network import (DfsmnLayerSpec, FcLayerSpec, NetworkConfig, StreamSpec,
                            build_network, expand_shorthand, iter_tensors, PRESETS)
-from dfsmn.tensor import Counter64, ShapeError
+from dfsmn.tensor import Counter64, ShapeError, derive_seed
 from dfsmn.trainer import (ECHO_STREAM, EpochStats, LrScheduler, SyntheticTaskSpec,
                            TrainConfig, evaluate_mse, gen_acoustic_toy_task,
                            gen_echo_task, grad_check, multitask_mse, sgd_step,
@@ -389,3 +390,111 @@ class TestTrainLoop:
         tc = TrainConfig(batch_frames=16, lr=1e8, max_epochs=50, seed=0)
         with pytest.raises(RuntimeError, match=r"epoch \d+ batch \d+"):
             train(cfg, params, train_set, tc, valid_set)
+
+
+def packing_case(seed=11):
+    """An fp64 net with skip, strided and look-ahead taps, and sequences of
+    6, 1, 4 and 11 frames: one is a single frame and one is shorter than the
+    6-frame look-back of the first layer."""
+    layers = (DfsmnLayerSpec(hidden=5, proj=4, n_back=3, n_ahead=2, stride_back=2,
+                             stride_ahead=1, activation="tanh"),
+              DfsmnLayerSpec(hidden=5, proj=4, n_back=2, n_ahead=1, stride_back=1,
+                             stride_ahead=2, skip=True, activation="tanh"),
+              FcLayerSpec(hidden=4, activation="tanh"))
+    cfg = NetworkConfig(input_dim=3, layers=layers,
+                        output_streams=(StreamSpec("a", 2), StreamSpec("b", 1, "sigmoid")),
+                        precision="fp64")
+    params = build_network(cfg, seed)
+    for li, p in enumerate(params.layers[:2]):
+        for k, taps in enumerate((p.back_taps, p.ahead_taps)):
+            rng = Counter64(derive_seed(seed, li, k))
+            taps[...] = 0.3 * rng.normal(taps.size).reshape(taps.shape)
+    rng = Counter64(seed)
+    seqs = [SequenceData(f"s{i}", rng.normal(T * 3).reshape(T, 3),
+                         {"a": rng.normal(T * 2).reshape(T, 2),
+                          "b": rng.uniform(T).reshape(T, 1)})
+            for i, T in enumerate((6, 1, 4, 11))]
+    return cfg, params, seqs
+
+
+def rel_err(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+class TestPackedBatch:
+    WEIGHTS = {"a": 1.5, "b": 0.5}
+
+    def test_loss_and_grads_equal_frame_weighted_per_sequence_sums(self):
+        cfg, params, seqs = packing_case()
+        inputs, targets, bounds = trainer._pack(seqs, cfg)
+        assert bounds == [(0, 6), (6, 7), (7, 11), (11, 22)]
+        outs, cache = net.forward(params, cfg, inputs, bounds=bounds)
+        loss, grad_streams = multitask_mse(outs, targets, self.WEIGHTS)
+        packed = net.backward(cache, grad_streams)
+
+        total = len(inputs)
+        want_loss = 0.0
+        want = net.zeros_network(cfg)
+        for seq in seqs:
+            s_outs, s_cache = net.forward(params, cfg, seq.inputs)
+            s_loss, s_grads = multitask_mse(s_outs, seq.targets, self.WEIGHTS)
+            scale = seq.frames / total
+            want_loss += scale * s_loss
+            s_grads = net.backward(s_cache, s_grads)
+            for (_, _, w), (_, _, g) in zip(iter_tensors(cfg, want),
+                                            iter_tensors(cfg, s_grads)):
+                w += scale * g
+        assert abs(loss - want_loss) <= 1e-10 * want_loss
+        for (_, path, got), (_, _, w) in zip(iter_tensors(cfg, packed),
+                                             iter_tensors(cfg, want)):
+            assert w.any(), path
+            assert rel_err(got, w) <= 1e-10, path
+
+    def test_train_matches_per_sequence_sgd(self):
+        # the loop train() replaced: forward, backward and gradient
+        # accumulation once per sequence, one SGD step per batch
+        cfg, params, seqs = packing_case()
+        tc = TrainConfig(batch_frames=8, lr=0.05, max_epochs=2, seed=3,
+                         stream_weights=self.WEIGHTS)
+        want = build_network(cfg, 0)
+        for (_, _, w), (_, _, p) in zip(iter_tensors(cfg, want), iter_tensors(cfg, params)):
+            w[...] = p
+        for epoch in range(tc.max_epochs):
+            order = list(range(len(seqs)))
+            Counter64(derive_seed(tc.seed, epoch)).shuffle(order)
+            for batch in trainer._batches(order, seqs, tc.batch_frames):
+                total = sum(seq.frames for seq in batch)
+                acc = net.zeros_network(cfg)
+                for seq in batch:
+                    outs, cache = net.forward(want, cfg, seq.inputs)
+                    _, grads = multitask_mse(outs, seq.targets, self.WEIGHTS)
+                    grads = net.backward(cache, grads)
+                    for (_, _, a), (_, _, g) in zip(iter_tensors(cfg, acc),
+                                                    iter_tensors(cfg, grads)):
+                        a += seq.frames / total * g
+                sgd_step(cfg, want, acc, tc.lr)
+
+        params, history = train(cfg, params, seqs, tc)
+        assert [h.lr for h in history] == [tc.lr, tc.lr]
+        for (_, path, got), (_, _, w) in zip(iter_tensors(cfg, params),
+                                             iter_tensors(cfg, want)):
+            assert rel_err(got, w) <= 1e-10, path
+
+    def test_one_forward_and_backward_per_batch(self, monkeypatch):
+        cfg, params, seqs = packing_case()
+        calls = {"forward": 0, "backward": 0}
+        for name in calls:
+            real = getattr(net, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(net, name, counted)
+        tc = TrainConfig(batch_frames=8, lr=0.05, max_epochs=1, seed=3)
+        order = list(range(len(seqs)))
+        Counter64(derive_seed(tc.seed, 0)).shuffle(order)
+        n_batches = len(list(trainer._batches(order, seqs, tc.batch_frames)))
+        assert n_batches < len(seqs)
+        train(cfg, params, seqs, tc)
+        # the per-epoch validation forwards each sequence on its own
+        assert calls == {"forward": n_batches + len(seqs), "backward": n_batches}
