@@ -54,8 +54,8 @@ def read_feature(path):
     if version != FEATURE_VERSION:
         raise VersionMismatchError(
             f"feature version {version}, reader supports {FEATURE_VERSION}")
-    frames, dim, name_len = r.u32(), r.u32(), r.u32()
-    name = r.take(name_len).decode("utf-8")
+    frames, dim = r.u32(), r.u32()
+    name = r.text("stream name")
     data = np.frombuffer(r.take(frames * dim * 4), dtype="<f4").reshape(frames, dim)
     if r.pos != len(r.data):
         raise ModelFileError(f"{len(r.data) - r.pos} trailing bytes in feature file")

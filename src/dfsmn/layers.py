@@ -15,11 +15,14 @@ widths across skip-connected layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .tensor import ShapeError
+
+if TYPE_CHECKING:
+    from .network import DfsmnLayerSpec
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear")
 
@@ -47,24 +50,6 @@ def activate_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
     if name == "linear":
         return np.ones_like(pre)
     raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
-
-
-@dataclass(frozen=True)
-class MemoryConfig:
-    """Tap layout of one memory block: orders, strides, and the skip flag."""
-
-    n_back: int = 0
-    n_ahead: int = 0
-    stride_back: int = 1
-    stride_ahead: int = 1
-    skip: bool = False
-
-    def __post_init__(self):
-        if self.n_back < 0 or self.n_ahead < 0:
-            raise ValueError(f"orders must be >= 0, got {self.n_back},{self.n_ahead}")
-        if self.stride_back < 1 or self.stride_ahead < 1:
-            raise ValueError(
-                f"strides must be >= 1, got {self.stride_back},{self.stride_ahead}")
 
 
 @dataclass
@@ -95,23 +80,24 @@ def project(h_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarr
 
 
 def memory_block(p_seq: np.ndarray, back_taps: np.ndarray, ahead_taps: np.ndarray,
-                 cfg: MemoryConfig, skip_seq: Optional[np.ndarray] = None,
+                 spec: DfsmnLayerSpec, skip_seq: Optional[np.ndarray] = None,
                  bounds=None) -> np.ndarray:
-    """Weighted tap sum over past/future frames, zero padded at each bounds segment."""
-    _check_block_args(p_seq, back_taps, ahead_taps, cfg, skip_seq)
+    """Weighted tap sum over past/future frames, zero padded at each bounds
+    segment; spec gives the orders, strides and skip flag."""
+    _check_block_args(p_seq, back_taps, ahead_taps, spec, skip_seq)
     out = p_seq.copy()
     if skip_seq is not None:
         out += skip_seq
     for a, b in _segments(bounds, p_seq.shape[0]):
         p, o, T = p_seq[a:b], out[a:b], b - a
-        for i in range(cfg.n_back + 1):
-            k = i * cfg.stride_back
+        for i in range(spec.n_back + 1):
+            k = i * spec.stride_back
             if k == 0:
                 o += back_taps[i] * p
             elif k < T:
                 o[k:] += back_taps[i] * p[:-k]
-        for j in range(1, cfg.n_ahead + 1):
-            k = j * cfg.stride_ahead
+        for j in range(1, spec.n_ahead + 1):
+            k = j * spec.stride_ahead
             if k < T:
                 o[:-k] += ahead_taps[j - 1] * p[k:]
     return out
@@ -119,27 +105,28 @@ def memory_block(p_seq: np.ndarray, back_taps: np.ndarray, ahead_taps: np.ndarra
 
 def memory_block_backward(grad_ptilde: np.ndarray, p_seq: np.ndarray,
                           back_taps: np.ndarray, ahead_taps: np.ndarray,
-                          cfg: MemoryConfig, has_skip: bool, bounds=None):
-    """Gradients of the tap sum: returns (d p_seq, d back_taps, d ahead_taps, d skip)."""
+                          spec: DfsmnLayerSpec, bounds=None):
+    """Gradients of the tap sum: returns (d p_seq, d back_taps, d ahead_taps,
+    d skip), the last None when spec has no skip connection."""
     gp = grad_ptilde.copy()
     d_back = np.zeros_like(back_taps)
     d_ahead = np.zeros_like(ahead_taps)
     for a, b in _segments(bounds, p_seq.shape[0]):
         g, p, gps, T = grad_ptilde[a:b], p_seq[a:b], gp[a:b], b - a
-        for i in range(cfg.n_back + 1):
-            k = i * cfg.stride_back
+        for i in range(spec.n_back + 1):
+            k = i * spec.stride_back
             if k == 0:
                 gps += back_taps[i] * g
                 d_back[i] += (g * p).sum(axis=0)
             elif k < T:
                 gps[:-k] += back_taps[i] * g[k:]
                 d_back[i] += (g[k:] * p[:-k]).sum(axis=0)
-        for j in range(1, cfg.n_ahead + 1):
-            k = j * cfg.stride_ahead
+        for j in range(1, spec.n_ahead + 1):
+            k = j * spec.stride_ahead
             if k < T:
                 gps[k:] += ahead_taps[j - 1] * g[:-k]
                 d_ahead[j - 1] += (g[:-k] * p[k:]).sum(axis=0)
-    g_skip = grad_ptilde.copy() if has_skip else None
+    g_skip = grad_ptilde.copy() if spec.skip else None
     return gp, d_back, d_ahead, g_skip
 
 
@@ -162,8 +149,7 @@ class DfsmnLayerCache:
     pre_seq: np.ndarray
     out_seq: np.ndarray
     params: DfsmnLayerParams
-    cfg: MemoryConfig
-    activation: str
+    spec: DfsmnLayerSpec
     bounds: Optional[list] = None
 
 
@@ -176,21 +162,20 @@ class FcLayerCache:
     activation: str
 
 
-def dfsmn_layer_forward(h_seq: np.ndarray, params: DfsmnLayerParams, cfg: MemoryConfig,
-                        skip_seq: Optional[np.ndarray] = None, activation: str = "relu",
+def dfsmn_layer_forward(h_seq: np.ndarray, params: DfsmnLayerParams,
+                        spec: DfsmnLayerSpec, skip_seq: Optional[np.ndarray] = None,
                         bounds=None):
-    """Full layer: project -> memory block -> output transform.
+    """Full layer: project -> memory block -> output transform (spec.activation).
 
     Returns (h_next, cache, ptilde); ptilde is what a following layer's skip
     input consumes. bounds is passed to memory_block and kept for backward.
     """
     p_seq = project(h_seq, params.proj_weight, params.proj_bias)
-    ptilde = memory_block(p_seq, params.back_taps, params.ahead_taps, cfg, skip_seq,
+    ptilde = memory_block(p_seq, params.back_taps, params.ahead_taps, spec, skip_seq,
                           bounds=bounds)
     pre = ptilde @ params.out_weight + params.out_bias
-    out = activate(activation, pre)
-    cache = DfsmnLayerCache(h_seq, p_seq, ptilde, pre, out, params, cfg, activation,
-                            bounds)
+    out = activate(spec.activation, pre)
+    cache = DfsmnLayerCache(h_seq, p_seq, ptilde, pre, out, params, spec, bounds)
     return out, cache, ptilde
 
 
@@ -217,15 +202,14 @@ def layer_backward(cache: DfsmnLayerCache, grad_out: np.ndarray,
         raise ShapeError(
             f"grad shape {grad_out.shape} != output shape {cache.out_seq.shape}")
     p = cache.params
-    dpre = grad_out * activate_grad(cache.activation, cache.pre_seq, cache.out_seq)
+    dpre = grad_out * activate_grad(cache.spec.activation, cache.pre_seq, cache.out_seq)
     d_out_weight = cache.ptilde_seq.T @ dpre
     d_out_bias = dpre.sum(axis=0)
     dptilde = dpre @ p.out_weight.T
     if grad_ptilde is not None:
         dptilde = dptilde + grad_ptilde
     dp, d_back, d_ahead, g_skip = memory_block_backward(
-        dptilde, cache.p_seq, p.back_taps, p.ahead_taps, cache.cfg, cache.cfg.skip,
-        bounds=cache.bounds)
+        dptilde, cache.p_seq, p.back_taps, p.ahead_taps, cache.spec, bounds=cache.bounds)
     d_proj_weight = cache.h_seq.T @ dp
     d_proj_bias = dp.sum(axis=0)
     grad_in = dp @ p.proj_weight.T
@@ -246,17 +230,17 @@ def fc_layer_backward(cache: FcLayerCache, grad_out: np.ndarray):
     return grad_in, d_weight, d_bias
 
 
-def _check_block_args(p_seq, back_taps, ahead_taps, cfg, skip_seq):
+def _check_block_args(p_seq, back_taps, ahead_taps, spec, skip_seq):
     d_proj = p_seq.shape[1]
-    if back_taps.shape != (cfg.n_back + 1, d_proj):
+    if back_taps.shape != (spec.n_back + 1, d_proj):
         raise ShapeError(
-            f"back taps shape {back_taps.shape} != ({cfg.n_back + 1}, {d_proj})")
-    if ahead_taps.shape != (cfg.n_ahead, d_proj):
+            f"back taps shape {back_taps.shape} != ({spec.n_back + 1}, {d_proj})")
+    if ahead_taps.shape != (spec.n_ahead, d_proj):
         raise ShapeError(
-            f"ahead taps shape {ahead_taps.shape} != ({cfg.n_ahead}, {d_proj})")
-    if cfg.skip and skip_seq is None:
+            f"ahead taps shape {ahead_taps.shape} != ({spec.n_ahead}, {d_proj})")
+    if spec.skip and skip_seq is None:
         raise ShapeError("skip enabled but no skip sequence given")
-    if not cfg.skip and skip_seq is not None:
+    if not spec.skip and skip_seq is not None:
         raise ShapeError("skip sequence given but skip flag is off")
     if skip_seq is not None and skip_seq.shape != p_seq.shape:
         raise ShapeError(

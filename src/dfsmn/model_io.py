@@ -81,6 +81,13 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self, what: str) -> str:
+        """A u32-length-prefixed utf-8 string."""
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ModelFileError(f"{what} is not valid utf-8: {e}")
+
 
 def load_model(path):
     """Read a model file back; returns (params, cfg)."""
@@ -92,7 +99,7 @@ def load_model(path):
     version = r.u32()
     if version != VERSION:
         raise VersionMismatchError(f"file version {version}, reader supports {VERSION}")
-    cfg = parse_config(r.take(r.u32()).decode("utf-8"))
+    cfg = parse_config(r.text("embedded config"))
     wire = _wire_dtype(cfg)
     payload = count_params(cfg) * wire.itemsize
     left = len(r.data) - r.pos
@@ -102,6 +109,9 @@ def load_model(path):
     params = zeros_network(cfg)
     for _, path_name, arr in iter_tensors(cfg, params):
         ndim = r.u32()
+        if ndim != arr.ndim:
+            raise ModelFileError(
+                f"tensor {path_name}: stored ndim {ndim} != expected {arr.ndim}")
         shape = tuple(r.u32() for _ in range(ndim))
         if shape != arr.shape:
             raise ModelFileError(

@@ -15,7 +15,7 @@ count) together with "order" as "N1,N2,s1,s2".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Union
 
 import numpy as np
@@ -26,6 +26,9 @@ from .tensor import ShapeError, as_sequence, derive_seed, resolve_dtype, seeded_
 DEFAULT_INPUT_DIM = 754
 DEFAULT_HIDDEN = 2048
 DEFAULT_PROJ = 512
+# far above the deepest preset (12 layers); bounds the work a short shorthand
+# string, say one embedded in a model file, can ask for
+MAX_SHORTHAND_LAYERS = 1024
 
 
 class ConfigError(ValueError):
@@ -42,10 +45,6 @@ class DfsmnLayerSpec:
     stride_ahead: int = 1
     skip: bool = False
     activation: str = "relu"
-
-    def memory_config(self) -> L.MemoryConfig:
-        return L.MemoryConfig(self.n_back, self.n_ahead,
-                              self.stride_back, self.stride_ahead, self.skip)
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,12 @@ def validate_config(cfg: NetworkConfig) -> None:
                 _check_int(getattr(spec, name), f"{loc}.{name}")
             if not isinstance(spec.skip, bool):
                 raise ConfigError(f"{loc}.skip: must be true or false, got {spec.skip!r}")
-            try:
-                spec.memory_config()
-            except ValueError as e:
-                raise ConfigError(f"{loc}: {e}")
+            if spec.n_back < 0 or spec.n_ahead < 0:
+                raise ConfigError(
+                    f"{loc}: orders must be >= 0, got {spec.n_back},{spec.n_ahead}")
+            if spec.stride_back < 1 or spec.stride_ahead < 1:
+                raise ConfigError(f"{loc}: strides must be >= 1, "
+                                  f"got {spec.stride_back},{spec.stride_ahead}")
             if spec.activation not in L.ACTIVATIONS:
                 raise ConfigError(f"{loc}.activation: unknown {spec.activation!r}")
             if spec.skip:
@@ -177,6 +178,9 @@ def expand_shorthand(layer_counts: str, orders: str, input_dim: int = DEFAULT_IN
         raise ConfigError(f"layers: need at least one memory-block layer, got {nc}")
     if nd < 0:
         raise ConfigError(f"layers: fc layer count must be >= 0, got {nd}")
+    if nc + nd > MAX_SHORTHAND_LAYERS:
+        raise ConfigError(
+            f"layers: {nc}+{nd} is more than {MAX_SHORTHAND_LAYERS} layers")
     specs = [DfsmnLayerSpec(hidden, proj, n1, n2, s1, s2, skip=(i > 0),
                             activation=activation) for i in range(nc)]
     specs += [FcLayerSpec(hidden, activation) for _ in range(nd)]
@@ -205,10 +209,7 @@ def preset_config(name: str, precision: str = "fp32") -> NetworkConfig:
 
 _TOP_KEYS = {"preset", "input_dim", "layers", "order", "hidden", "proj",
              "activation", "output_streams", "precision"}
-_DFSMN_KEYS = {"type", "hidden", "proj", "n_back", "n_ahead",
-               "stride_back", "stride_ahead", "skip", "activation"}
-_FC_KEYS = {"type", "hidden", "activation"}
-_STREAM_KEYS = {"name", "dim", "activation"}
+_LAYER_TYPES = {"dfsmn": DfsmnLayerSpec, "fc": FcLayerSpec}
 
 
 def _reject_unknown(d: dict, allowed: set, loc: str) -> None:
@@ -267,19 +268,11 @@ def parse_config(text: str) -> NetworkConfig:
         if not isinstance(entry, dict) or "type" not in entry:
             raise ConfigError(f"{loc}: expected an object with a 'type' key")
         kind = entry["type"]
-        try:
-            if kind == "dfsmn":
-                _reject_unknown(entry, _DFSMN_KEYS, loc)
-                specs.append(DfsmnLayerSpec(**{k: v for k, v in entry.items()
-                                               if k != "type"}))
-            elif kind == "fc":
-                _reject_unknown(entry, _FC_KEYS, loc)
-                specs.append(FcLayerSpec(**{k: v for k, v in entry.items()
-                                            if k != "type"}))
-            else:
-                raise ConfigError(f"{loc}.type: unknown {kind!r}")
-        except TypeError as e:
-            raise ConfigError(f"{loc}: {e}")
+        if not isinstance(kind, str) or kind not in _LAYER_TYPES:
+            raise ConfigError(f"{loc}.type: unknown {kind!r}")
+        cls = _LAYER_TYPES[kind]
+        _reject_unknown(entry, {"type"} | _field_names(cls), loc)
+        specs.append(cls(**{k: v for k, v in entry.items() if k != "type"}))
     try:
         return NetworkConfig(layers=tuple(specs), **common)
     except ConfigError:
@@ -298,28 +291,23 @@ def _parse_streams(entries) -> tuple:
         loc = f"output_streams[{si}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{loc}: expected an object")
-        _reject_unknown(entry, _STREAM_KEYS, loc)
+        _reject_unknown(entry, _field_names(StreamSpec), loc)
         if "name" not in entry or "dim" not in entry:
             raise ConfigError(f"{loc}: needs 'name' and 'dim'")
-        out.append(StreamSpec(entry["name"], entry["dim"],
-                              entry.get("activation", "linear")))
+        out.append(StreamSpec(**entry))
     return tuple(out)
 
 
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
 def config_to_dict(cfg: NetworkConfig) -> dict:
+    kinds = {cls: kind for kind, cls in _LAYER_TYPES.items()}
     return {
         "input_dim": cfg.input_dim,
-        "layers": [
-            {"type": "dfsmn", "hidden": s.hidden, "proj": s.proj,
-             "n_back": s.n_back, "n_ahead": s.n_ahead,
-             "stride_back": s.stride_back, "stride_ahead": s.stride_ahead,
-             "skip": s.skip, "activation": s.activation}
-            if isinstance(s, DfsmnLayerSpec) else
-            {"type": "fc", "hidden": s.hidden, "activation": s.activation}
-            for s in cfg.layers
-        ],
-        "output_streams": [{"name": s.name, "dim": s.dim, "activation": s.activation}
-                           for s in cfg.output_streams],
+        "layers": [{"type": kinds[type(s)], **asdict(s)} for s in cfg.layers],
+        "output_streams": [asdict(s) for s in cfg.output_streams],
         "precision": cfg.precision,
     }
 
@@ -458,10 +446,8 @@ def forward(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds=None) -
     h = x
     for spec, p in zip(cfg.layers, params.layers):
         if isinstance(spec, DfsmnLayerSpec):
-            mcfg = spec.memory_config()
-            skip_seq = prev_ptilde if mcfg.skip else None
-            h, cache, ptilde = L.dfsmn_layer_forward(h, p, mcfg, skip_seq,
-                                                     spec.activation, bounds=bounds)
+            skip_seq = prev_ptilde if spec.skip else None
+            h, cache, ptilde = L.dfsmn_layer_forward(h, p, spec, skip_seq, bounds=bounds)
             prev_ptilde = ptilde
         else:
             h, cache = L.fc_layer_forward(h, p.weight, p.bias, spec.activation)

@@ -1,4 +1,4 @@
-"""Minimal deterministic dense kernel: shape-checked matrix ops and seeded RNG.
+"""Minimal deterministic dense kernel: sequence checks and seeded RNG.
 
 Everything downstream (layers, training, metrics) builds on the helpers here.
 Arrays are plain numpy ndarrays; a "sequence" is a T x D float matrix with one
@@ -20,8 +20,6 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "as_sequence",
-    "matmul",
-    "zip_map",
     "Counter64",
     "derive_seed",
     "seeded_normal",
@@ -58,28 +56,6 @@ def as_sequence(x, dtype=None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("sequence contains NaN or Inf")
     return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
-def zip_map(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
-    """Element-wise add or mul of two identically shaped arrays."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"element-wise op needs equal shapes, got {a.shape} vs {b.shape}")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}; expected 'add' or 'mul'")
 
 
 def _mix64(x: int) -> int:

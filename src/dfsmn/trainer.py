@@ -235,13 +235,12 @@ def _check_skip_gradient(cfg, cache, report, rng, samples_per_class):
     h_in = lcache.h_seq
     skip = cache.layer_caches[skip_idx - 1].ptilde_seq.copy()
     p = lcache.params
-    mcfg = spec.memory_config()
 
     def local_loss() -> float:
-        out, _, _ = dfsmn_layer_forward(h_in, p, mcfg, skip, spec.activation)
+        out, _, _ = dfsmn_layer_forward(h_in, p, spec, skip)
         return 0.5 * float(np.sum(out * out))
 
-    out, c2, _ = dfsmn_layer_forward(h_in, p, mcfg, skip, spec.activation)
+    out, c2, _ = dfsmn_layer_forward(h_in, p, spec, skip)
     _, g_skip, _ = layer_backward(c2, out)
     for i in _sample(rng, skip.size, samples_per_class):
         _probe(report, "skip", local_loss, skip, g_skip, i)

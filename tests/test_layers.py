@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsmn.layers import (DfsmnLayerParams, MemoryConfig, dfsmn_layer_forward,
-                          fc_layer_backward, fc_layer_forward, layer_backward,
-                          memory_block, memory_block_backward, project)
+from dfsmn.layers import (DfsmnLayerParams, dfsmn_layer_forward, fc_layer_backward,
+                          fc_layer_forward, layer_backward, memory_block,
+                          memory_block_backward, project)
+from dfsmn.network import DfsmnLayerSpec
 from dfsmn.tensor import Counter64, ShapeError
 
 
@@ -56,31 +57,31 @@ class TestProject:
 class TestMemoryBlock:
     def test_zero_taps_identity(self):
         p = Counter64(1).normal(12).reshape(4, 3)
-        cfg = MemoryConfig(n_back=2, n_ahead=1, stride_back=1, stride_ahead=1)
+        cfg = DfsmnLayerSpec(n_back=2, n_ahead=1, stride_back=1, stride_ahead=1)
         out = memory_block(p, np.zeros((3, 3)), np.zeros((1, 3)), cfg)
         assert np.array_equal(out, p)
 
     def test_lookback_hand_case(self):
         # taps 0.5 on the current frame and 0.25 one frame back
-        cfg = MemoryConfig(n_back=1)
+        cfg = DfsmnLayerSpec(n_back=1)
         out = memory_block(col([1, 2, 3]), col([0.5, 0.25]).reshape(2, 1),
                            np.zeros((0, 1)), cfg)
         assert np.allclose(out, col([1.5, 3.25, 5.0]), atol=0, rtol=0)
 
     def test_lookahead_hand_case(self):
-        cfg = MemoryConfig(n_back=0, n_ahead=1)
+        cfg = DfsmnLayerSpec(n_back=0, n_ahead=1)
         out = memory_block(col([1, 2, 3]), np.zeros((1, 1)), np.ones((1, 1)), cfg)
         assert np.array_equal(out, col([3, 5, 3]))
 
     def test_strided_lookback_hand_case(self):
-        cfg = MemoryConfig(n_back=1, stride_back=2)
+        cfg = DfsmnLayerSpec(n_back=1, stride_back=2)
         taps = np.array([[0.0], [1.0]])
         out = memory_block(col([1, 2, 3, 4]), taps, np.zeros((0, 1)), cfg)
         assert np.array_equal(out, col([1, 2, 4, 6]))
 
     def test_order_zero_keeps_self_tap(self):
         # with both orders 0 the block is p + tap0*p
-        cfg = MemoryConfig()
+        cfg = DfsmnLayerSpec()
         p = col([2.0, -1.0])
         out = memory_block(p, np.array([[0.5]]), np.zeros((0, 1)), cfg)
         assert np.array_equal(out, col([3.0, -1.5]))
@@ -88,25 +89,25 @@ class TestMemoryBlock:
     def test_tap_count_mismatch(self):
         with pytest.raises(ShapeError):
             memory_block(col([1, 2]), np.zeros((3, 1)), np.zeros((0, 1)),
-                         MemoryConfig(n_back=1))
+                         DfsmnLayerSpec(n_back=1))
 
     def test_skip_presence_contract(self):
         p = col([1, 2])
         with pytest.raises(ShapeError):
             memory_block(p, np.zeros((1, 1)), np.zeros((0, 1)),
-                         MemoryConfig(skip=True))
+                         DfsmnLayerSpec(skip=True))
         with pytest.raises(ShapeError):
             memory_block(p, np.zeros((1, 1)), np.zeros((0, 1)),
-                         MemoryConfig(), skip_seq=p)
+                         DfsmnLayerSpec(), skip_seq=p)
 
     def test_skip_shape_mismatch(self):
         with pytest.raises(ShapeError):
             memory_block(col([1, 2]), np.zeros((1, 1)), np.zeros((0, 1)),
-                         MemoryConfig(skip=True), skip_seq=col([1, 2, 3]))
+                         DfsmnLayerSpec(skip=True), skip_seq=col([1, 2, 3]))
 
     def test_taps_beyond_sequence_vanish(self):
         # every shifted copy falls off the end: zero padding contributes nothing
-        cfg = MemoryConfig(n_back=3, stride_back=5)
+        cfg = DfsmnLayerSpec(n_back=3, stride_back=5)
         p = col([1.0, 2.0])
         taps = np.vstack([np.zeros((1, 1)), np.ones((3, 1))])
         assert np.array_equal(memory_block(p, taps, np.zeros((0, 1)), cfg), p)
@@ -124,9 +125,9 @@ class TestMemoryBlock:
         dense = np.zeros((n_back * stride + 1, d))
         dense[::stride] = taps
         out_strided = memory_block(p, taps, np.zeros((0, d)),
-                                   MemoryConfig(n_back=n_back, stride_back=stride))
+                                   DfsmnLayerSpec(n_back=n_back, stride_back=stride))
         out_dense = memory_block(p, dense, np.zeros((0, d)),
-                                 MemoryConfig(n_back=n_back * stride, stride_back=1))
+                                 DfsmnLayerSpec(n_back=n_back * stride, stride_back=1))
         assert np.array_equal(out_strided, out_dense)
 
 
@@ -134,7 +135,7 @@ class TestMemoryBlock:
 class TestPackedBounds:
     # segment lengths include a 1-frame sequence and ones shorter than the
     # tap reach (4 frames back, 2 ahead)
-    CFG = MemoryConfig(n_back=2, n_ahead=2, stride_back=2, stride_ahead=1, skip=True)
+    CFG = DfsmnLayerSpec(n_back=2, n_ahead=2, stride_back=2, stride_ahead=1, skip=True)
     LENGTHS = (6, 1, 3, 2, 9)
 
     def _arrays(self, seed, T, d=3):
@@ -160,11 +161,11 @@ class TestPackedBounds:
         bounds = self._bounds()
         p, _, g, back, ahead = self._arrays(22, bounds[-1][1])
         gp, d_back, d_ahead, g_skip = memory_block_backward(
-            g, p, back, ahead, self.CFG, True, bounds=bounds)
+            g, p, back, ahead, self.CFG, bounds=bounds)
         sum_back, sum_ahead = np.zeros_like(back), np.zeros_like(ahead)
         for a, b in bounds:
             gp_s, d_back_s, d_ahead_s, g_skip_s = memory_block_backward(
-                g[a:b], p[a:b], back, ahead, self.CFG, True)
+                g[a:b], p[a:b], back, ahead, self.CFG)
             assert gp[a:b].tobytes() == gp_s.tobytes()
             assert g_skip[a:b].tobytes() == g_skip_s.tobytes()
             sum_back += d_back_s
@@ -175,11 +176,11 @@ class TestPackedBounds:
 
     def test_default_is_one_segment(self):
         p, _, g, back, ahead = self._arrays(23, 10)
-        cfg = MemoryConfig(n_back=2, n_ahead=2, stride_back=2)
+        cfg = DfsmnLayerSpec(n_back=2, n_ahead=2, stride_back=2)
         assert np.array_equal(memory_block(p, back, ahead, cfg),
                               memory_block(p, back, ahead, cfg, bounds=[(0, 10)]))
-        for x, y in zip(memory_block_backward(g, p, back, ahead, cfg, False),
-                        memory_block_backward(g, p, back, ahead, cfg, False,
+        for x, y in zip(memory_block_backward(g, p, back, ahead, cfg),
+                        memory_block_backward(g, p, back, ahead, cfg,
                                               bounds=[(0, 10)])):
             assert np.array_equal(x, y)
 
@@ -194,11 +195,11 @@ class TestPackedBounds:
     ])
     def test_malformed_bounds_rejected(self, bounds):
         p, _, g, back, ahead = self._arrays(24, 6)
-        cfg = MemoryConfig(n_back=2, n_ahead=2)
+        cfg = DfsmnLayerSpec(n_back=2, n_ahead=2)
         with pytest.raises(ShapeError, match="bounds"):
             memory_block(p, back, ahead, cfg, bounds=bounds)
         with pytest.raises(ShapeError, match="bounds"):
-            memory_block_backward(g, p, back, ahead, cfg, False, bounds=bounds)
+            memory_block_backward(g, p, back, ahead, cfg, bounds=bounds)
 
 def layer_output(h_seq, weight, bias, activation):
     """The affine-plus-activation output transform, as fc_layer_forward computes it."""
@@ -235,16 +236,16 @@ class TestDfsmnLayerForward:
         params = DfsmnLayerParams(np.eye(3), np.zeros(3), np.zeros((1, 3)),
                                   np.zeros((0, 3)), np.eye(3), np.zeros(3))
         x = Counter64(5).normal(9).reshape(3, 3)
-        out, _, ptilde = dfsmn_layer_forward(x, params, MemoryConfig(), None, "linear")
+        out, _, ptilde = dfsmn_layer_forward(x, params, DfsmnLayerSpec(activation="linear"))
         assert np.array_equal(out, x)
         assert np.array_equal(ptilde, x)
 
     def test_composition_is_bit_exact(self):
         rng = Counter64(6)
         params = random_layer(rng, 3, 2, 2, 1, 1)
-        cfg = MemoryConfig(n_back=1, n_ahead=1)
+        cfg = DfsmnLayerSpec(n_back=1, n_ahead=1, activation="relu")
         x = rng.normal(15).reshape(5, 3)
-        out, _, ptilde = dfsmn_layer_forward(x, params, cfg, None, "relu")
+        out, _, ptilde = dfsmn_layer_forward(x, params, cfg)
         p = project(x, params.proj_weight, params.proj_bias)
         pt = memory_block(p, params.back_taps, params.ahead_taps, cfg)
         want = layer_output(pt, params.out_weight, params.out_bias, "relu")
@@ -256,10 +257,10 @@ class TestDfsmnLayerForward:
         rng = Counter64(9)
         d_in, d_proj, d_hidden, n1, n2 = 3, 2, 2, 1, 1
         params = random_layer(rng, d_in, d_proj, d_hidden, n1, n2)
-        cfg = MemoryConfig(n_back=n1, n_ahead=n2)
+        cfg = DfsmnLayerSpec(n_back=n1, n_ahead=n2, activation="tanh")
         T = 6
         x = rng.normal(T * d_in).reshape(T, d_in)
-        got, _, _ = dfsmn_layer_forward(x, params, cfg, None, "tanh")
+        got, _, _ = dfsmn_layer_forward(x, params, cfg)
 
         def p_at(t):
             if t < 0 or t >= T:
@@ -296,11 +297,11 @@ class TestFcLayer:
         assert np.max(np.abs(out - (x @ w + b))) < 1e-12
 
 
-def fd_layer_grads(x, params, cfg, activation, skip, grad_out, step=1e-5):
+def fd_layer_grads(x, params, cfg, skip, grad_out, step=1e-5):
     """Central finite differences of loss = sum(grad_out * output)."""
 
     def loss():
-        out, _, _ = dfsmn_layer_forward(x, params, cfg, skip, activation)
+        out, _, _ = dfsmn_layer_forward(x, params, cfg, skip)
         return float(np.sum(grad_out * out))
 
     def fd_of(arr):
@@ -322,9 +323,9 @@ class TestLayerBackward:
     def test_zero_grad_gives_zero(self):
         rng = Counter64(12)
         params = random_layer(rng, 3, 2, 4, 1, 1)
-        cfg = MemoryConfig(n_back=1, n_ahead=1)
+        cfg = DfsmnLayerSpec(n_back=1, n_ahead=1, activation="tanh")
         x = rng.normal(12).reshape(4, 3)
-        _, cache, _ = dfsmn_layer_forward(x, params, cfg, None, "tanh")
+        _, cache, _ = dfsmn_layer_forward(x, params, cfg)
         grad_in, g_skip, grads = layer_backward(cache, np.zeros((4, 4)))
         assert not grad_in.any()
         assert g_skip is None
@@ -340,7 +341,7 @@ class TestLayerBackward:
         params = DfsmnLayerParams(v, np.zeros(2), np.zeros((1, 2)),
                                   np.zeros((0, 2)), np.eye(2), np.zeros(2))
         x = rng.normal(12).reshape(4, 3)
-        _, cache, _ = dfsmn_layer_forward(x, params, MemoryConfig(), None, "linear")
+        _, cache, _ = dfsmn_layer_forward(x, params, DfsmnLayerSpec(activation="linear"))
         g = rng.normal(8).reshape(4, 2)
         grad_in, _, _ = layer_backward(cache, g)
         assert np.max(np.abs(grad_in - g @ v.T)) < 1e-12
@@ -349,16 +350,16 @@ class TestLayerBackward:
     def test_finite_difference_all_classes(self, activation):
         rng = Counter64(14)
         params = random_layer(rng, 3, 2, 3, 2, 1)
-        cfg = MemoryConfig(n_back=2, n_ahead=1, stride_back=2, stride_ahead=2,
-                           skip=True)
+        cfg = DfsmnLayerSpec(n_back=2, n_ahead=1, stride_back=2, stride_ahead=2,
+                             skip=True, activation=activation)
         T = 7
         x = rng.normal(T * 3).reshape(T, 3)
         skip = rng.normal(T * 2).reshape(T, 2)
         grad_out = rng.normal(T * 3).reshape(T, 3)
-        _, cache, _ = dfsmn_layer_forward(x, params, cfg, skip, activation)
+        _, cache, _ = dfsmn_layer_forward(x, params, cfg, skip)
         grad_in, g_skip, grads = layer_backward(cache, grad_out)
 
-        fd = fd_layer_grads(x, params, cfg, activation, skip, grad_out)
+        fd = fd_layer_grads(x, params, cfg, skip, grad_out)
         pairs = [(grads.proj_weight, params.proj_weight),
                  (grads.proj_bias, params.proj_bias),
                  (grads.back_taps, params.back_taps),
@@ -377,11 +378,11 @@ class TestLayerBackward:
         # ptilde gradient, untouched
         params = DfsmnLayerParams(np.eye(2), np.zeros(2), np.zeros((1, 2)),
                                   np.zeros((0, 2)), np.eye(2), np.zeros(2))
-        cfg = MemoryConfig(skip=True)
+        cfg = DfsmnLayerSpec(skip=True, activation="linear")
         rng = Counter64(15)
         x = rng.normal(8).reshape(4, 2)
         skip = rng.normal(8).reshape(4, 2)
-        _, cache, _ = dfsmn_layer_forward(x, params, cfg, skip, "linear")
+        _, cache, _ = dfsmn_layer_forward(x, params, cfg, skip)
         g = rng.normal(8).reshape(4, 2)
         extra = rng.normal(8).reshape(4, 2)
         _, g_skip, _ = layer_backward(cache, g, extra)
@@ -421,13 +422,13 @@ class TestTemporalProperties:
     def test_causality_bit_exact(self, seed, n_back, stride, t):
         rng = Counter64(seed)
         params = random_layer(rng, 2, 2, 2, n_back, 0)
-        cfg = MemoryConfig(n_back=n_back, stride_back=stride)
+        cfg = DfsmnLayerSpec(n_back=n_back, stride_back=stride, activation="relu")
         T = 8
         x = rng.normal(T * 2).reshape(T, 2)
-        out1, _, _ = dfsmn_layer_forward(x, params, cfg, None, "relu")
+        out1, _, _ = dfsmn_layer_forward(x, params, cfg)
         x2 = x.copy()
         x2[t + 1:] += rng.normal((T - t - 1) * 2).reshape(-1, 2)
-        out2, _, _ = dfsmn_layer_forward(x2, params, cfg, None, "relu")
+        out2, _, _ = dfsmn_layer_forward(x2, params, cfg)
         assert np.array_equal(out1[:t + 1], out2[:t + 1])
 
     @settings(max_examples=20, deadline=None)
@@ -436,15 +437,16 @@ class TestTemporalProperties:
     def test_bounded_lookahead(self, seed, n_ahead, stride):
         rng = Counter64(seed)
         params = random_layer(rng, 2, 2, 2, 1, n_ahead)
-        cfg = MemoryConfig(n_back=1, n_ahead=n_ahead, stride_ahead=stride)
+        cfg = DfsmnLayerSpec(n_back=1, n_ahead=n_ahead, stride_ahead=stride,
+                             activation="tanh")
         horizon = n_ahead * stride
         T = horizon + 6
         t = 2
         x = rng.normal(T * 2).reshape(T, 2)
-        out1, _, _ = dfsmn_layer_forward(x, params, cfg, None, "tanh")
+        out1, _, _ = dfsmn_layer_forward(x, params, cfg)
         x2 = x.copy()
         x2[t + horizon + 1:] += 1.0
-        out2, _, _ = dfsmn_layer_forward(x2, params, cfg, None, "tanh")
+        out2, _, _ = dfsmn_layer_forward(x2, params, cfg)
         assert np.array_equal(out1[:t + 1], out2[:t + 1])
 
     def test_preactivation_skip_additivity(self):
@@ -452,23 +454,23 @@ class TestTemporalProperties:
         # the nonlinearity: pre_skip = pre_noskip + skip @ out_weight
         rng = Counter64(17)
         params = random_layer(rng, 3, 2, 3, 1, 1)
-        cfg_skip = MemoryConfig(n_back=1, n_ahead=1, skip=True)
-        cfg_plain = MemoryConfig(n_back=1, n_ahead=1, skip=False)
+        cfg_skip = DfsmnLayerSpec(n_back=1, n_ahead=1, skip=True, activation="relu")
+        cfg_plain = DfsmnLayerSpec(n_back=1, n_ahead=1, skip=False, activation="relu")
         x = rng.normal(15).reshape(5, 3)
         skip = rng.normal(10).reshape(5, 2)
-        _, cache_s, _ = dfsmn_layer_forward(x, params, cfg_skip, skip, "relu")
-        _, cache_p, _ = dfsmn_layer_forward(x, params, cfg_plain, None, "relu")
+        _, cache_s, _ = dfsmn_layer_forward(x, params, cfg_skip, skip)
+        _, cache_p, _ = dfsmn_layer_forward(x, params, cfg_plain)
         want = cache_p.pre_seq + skip @ params.out_weight
         assert np.max(np.abs(cache_s.pre_seq - want)) < 1e-12
 
     def test_linear_skip_full_additivity(self):
         rng = Counter64(18)
         params = random_layer(rng, 3, 2, 3, 1, 0)
-        cfg_skip = MemoryConfig(n_back=1, skip=True)
-        cfg_plain = MemoryConfig(n_back=1, skip=False)
+        cfg_skip = DfsmnLayerSpec(n_back=1, skip=True, activation="linear")
+        cfg_plain = DfsmnLayerSpec(n_back=1, skip=False, activation="linear")
         x = rng.normal(15).reshape(5, 3)
         skip = rng.normal(10).reshape(5, 2)
-        out_s, _, _ = dfsmn_layer_forward(x, params, cfg_skip, skip, "linear")
-        out_p, _, _ = dfsmn_layer_forward(x, params, cfg_plain, None, "linear")
+        out_s, _, _ = dfsmn_layer_forward(x, params, cfg_skip, skip)
+        out_p, _, _ = dfsmn_layer_forward(x, params, cfg_plain)
         # pure-skip contribution passes through the output weights only
         assert np.max(np.abs(out_s - (out_p + skip @ params.out_weight))) < 1e-12

@@ -6,11 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dfsmn import layers as L
 from dfsmn import network as net
+from dfsmn.features import read_feature, write_feature
 from dfsmn.model_io import (MAGIC, VERSION, BadMagicError, ModelFileError,
                             TruncatedFileError, VersionMismatchError, load_model,
                             save_model)
@@ -201,6 +202,21 @@ class TestParseConfig:
             parse_config(json.dumps(
                 {"layers": [{"type": "fc", "hidden": 4, "bogus": 1}]}))
 
+    @pytest.mark.parametrize("layers", [
+        "100000000+0", "1+100000000", f"{net.MAX_SHORTHAND_LAYERS}+1"])
+    def test_shorthand_layer_count_bounded(self, layers, monkeypatch):
+        def no_spec(*args, **kwargs):
+            raise AssertionError("built a layer spec")
+
+        monkeypatch.setattr(net, "DfsmnLayerSpec", no_spec)
+        monkeypatch.setattr(net, "FcLayerSpec", no_spec)
+        with pytest.raises(ConfigError, match=r"^layers: "):
+            parse_config(json.dumps({"layers": layers, "order": "1,1,1,1"}))
+
+    def test_shorthand_layer_count_at_bound(self):
+        cfg = expand_shorthand(f"{net.MAX_SHORTHAND_LAYERS - 1}+1", "1,1,1,1")
+        assert len(cfg.layers) == net.MAX_SHORTHAND_LAYERS
+
     def test_malformed_order_tuple(self):
         with pytest.raises(ConfigError, match="order"):
             parse_config('{"layers": "2+1", "order": "1,2,3"}')
@@ -330,9 +346,8 @@ class TestForward:
         prev = None
         for spec, p in zip(cfg.layers, params.layers):
             if isinstance(spec, DfsmnLayerSpec):
-                mcfg = spec.memory_config()
                 skip = prev if spec.skip else None
-                h, _, prev = L.dfsmn_layer_forward(h, p, mcfg, skip, spec.activation)
+                h, _, prev = L.dfsmn_layer_forward(h, p, spec, skip)
             else:
                 h, _ = L.fc_layer_forward(h, p.weight, p.bias, spec.activation)
                 prev = None
@@ -501,6 +516,17 @@ class TestModelFile:
         with pytest.raises(ModelFileError):
             load_model(path)
 
+    def test_flipped_ndim_names_the_tensor(self, tmp_path):
+        path = tmp_path / "m.dfsmn"
+        cfg = tiny_cfg()
+        save_model(build_network(cfg, 0), cfg, path)
+        raw = bytearray(path.read_bytes())
+        first_ndim = 12 + struct.unpack_from("<I", raw, 8)[0]
+        raw[first_ndim + 3] ^= 0x80
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFileError, match=r"layer0\.proj_weight: stored ndim"):
+            load_model(path)
+
     def test_huge_claimed_config_fails_before_allocating(self, tmp_path):
         cfg = expand_shorthand("1+0", "0,0,1,1", input_dim=100_000, hidden=100_000,
                                proj=10_000, output_streams=(StreamSpec("y", 1),))
@@ -541,3 +567,54 @@ class TestModelFile:
         loaded, cfg2 = load_model(path)
         assert count_params(cfg2) == 14_187_595
         assert sum(arr.size for _, _, arr in iter_tensors(cfg2, loaded)) == 14_187_595
+
+
+LOADER_ERRORS = (ModelFileError, ShapeError, ConfigError)
+
+
+@st.composite
+def mutated(draw, raw: bytes) -> bytes:
+    """raw cut short, or with one to three bits flipped."""
+    if draw(st.booleans()):
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    out = bytearray(raw)
+    for bit in draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=3)):
+        out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+class TestMalformedFiles:
+    """Damaged model and feature files load or raise one of LOADER_ERRORS."""
+
+    def _file(self, tmp_path, kind):
+        """A small valid file of the kind, and the loader that reads it."""
+        if kind == "model":
+            cfg = tiny_cfg(precision="fp32")
+            path = tmp_path / "m.dfsmn"
+            save_model(build_network(cfg, 0), cfg, path)
+            return path, load_model
+        path = tmp_path / "f.feat"
+        write_feature(path, "mcep", Counter64(1).normal(6).reshape(3, 2))
+        return path, read_feature
+
+    @pytest.mark.parametrize("kind,offset,what", [("model", 12, "embedded config"),
+                                                  ("feature", 20, "stream name")])
+    def test_undecodable_text(self, tmp_path, kind, offset, what):
+        path, load = self._file(tmp_path, kind)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = 0xFF  # first byte of the length-prefixed text
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFileError, match=what):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["model", "feature"])
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_file_loads_or_raises_typed_error(self, tmp_path, kind, data):
+        path, load = self._file(tmp_path, kind)
+        path.write_bytes(data.draw(mutated(path.read_bytes())))
+        try:
+            load(path)
+        except LOADER_ERRORS:
+            pass

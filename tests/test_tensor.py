@@ -1,93 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from dfsmn.tensor import (Counter64, ShapeError, as_sequence, derive_seed,
-                          matmul, seeded_normal, zip_map)
-
-
-def _mats(rows, cols, lo=-10, hi=10):
-    return arrays(np.float64, (rows, cols),
-                  elements=st.floats(lo, hi, allow_nan=False))
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_against_triple_loop(self):
-        rng = Counter64(7)
-        a = rng.normal(7 * 5).reshape(7, 5)
-        b = rng.normal(5 * 3).reshape(5, 3)
-        want = np.zeros((7, 3))
-        for i in range(7):
-            for j in range(3):
-                for r in range(5):
-                    want[i, j] += a[i, r] * b[r, j]
-        assert np.max(np.abs(matmul(a, b) - want)) < 1e-12
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    @settings(max_examples=40, deadline=None)
-    @given(a=_mats(3, 4), b=_mats(4, 2), c=_mats(2, 5))
-    def test_associativity(self, a, b, c):
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        denom = max(1.0, float(np.max(np.abs(left))))
-        assert np.max(np.abs(left - right)) / denom < 1e-9
-
-
-class TestZipMap:
-    def test_mul_zero_annihilates(self):
-        out = zip_map(np.array([[1.0, 2.0, 3.0]]), np.zeros((1, 3)), "mul")
-        assert np.array_equal(out, np.zeros((1, 3)))
-
-    def test_add(self):
-        assert np.array_equal(zip_map(np.array([[1.0, 2.0]]),
-                                      np.array([[3.0, 4.0]]), "add"),
-                              np.array([[4.0, 6.0]]))
-
-    def test_mul_matches_element_loop(self):
-        rng = Counter64(11)
-        a = rng.normal(16).reshape(4, 4)
-        b = rng.normal(16).reshape(4, 4)
-        got = zip_map(a, b, "mul")
-        for i in range(4):
-            for j in range(4):
-                assert got[i, j] == a[i, j] * b[i, j]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            zip_map(np.zeros((2, 2)), np.zeros((2, 3)), "add")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            zip_map(np.zeros((1, 1)), np.zeros((1, 1)), "sub")
-
-    @settings(max_examples=30, deadline=None)
-    @given(a=_mats(3, 3), b=_mats(3, 3))
-    def test_commutative(self, a, b):
-        assert np.array_equal(zip_map(a, b, "mul"), zip_map(b, a, "mul"))
-        assert np.array_equal(zip_map(a, b, "add"), zip_map(b, a, "add"))
-
-    @settings(max_examples=30, deadline=None)
-    @given(a=arrays(np.float64, (2, 2), elements=st.integers(-50, 50).map(float)),
-           b=arrays(np.float64, (2, 2), elements=st.integers(-50, 50).map(float)),
-           c=arrays(np.float64, (2, 2), elements=st.integers(-50, 50).map(float)))
-    def test_integer_add_associative_exactly(self, a, b, c):
-        left = zip_map(zip_map(a, b, "add"), c, "add")
-        right = zip_map(a, zip_map(b, c, "add"), "add")
-        assert np.array_equal(left, right)
+from dfsmn.tensor import Counter64, ShapeError, as_sequence, derive_seed, seeded_normal
 
 
 class TestSeededNormal:
