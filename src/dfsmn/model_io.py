@@ -45,7 +45,7 @@ class TruncatedFileError(ModelFileError):
 
 
 def _wire_dtype(cfg: NetworkConfig) -> np.dtype:
-    return np.dtype("<f4" if cfg.precision == "fp32" else "<f8")
+    return cfg.dtype().newbyteorder("<")
 
 
 def save_model(params: NetworkParams, cfg: NetworkConfig, path) -> None:

@@ -15,13 +15,14 @@ count) together with "order" as "N1,N2,s1,s2".
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Union
 
 import numpy as np
 
 from . import layers as L
-from .tensor import ShapeError, as_sequence, derive_seed, resolve_dtype, seeded_normal
+from .tensor import ShapeError, as_sequence, derive_seed, seeded_normal
 
 DEFAULT_INPUT_DIM = 754
 DEFAULT_HIDDEN = 2048
@@ -29,6 +30,7 @@ DEFAULT_PROJ = 512
 # far above the deepest preset (12 layers); bounds the work a short shorthand
 # string, say one embedded in a model file, can ask for
 MAX_SHORTHAND_LAYERS = 1024
+PRECISIONS = {"fp32": np.dtype(np.float32), "fp64": np.dtype(np.float64)}
 
 
 class ConfigError(ValueError):
@@ -80,8 +82,8 @@ class NetworkConfig:
     def __post_init__(self):
         validate_config(self)
 
-    def dtype(self):
-        return resolve_dtype(self.precision)
+    def dtype(self) -> np.dtype:
+        return PRECISIONS[self.precision]
 
 
 def _check_int(value, loc: str) -> int:
@@ -101,8 +103,9 @@ def validate_config(cfg: NetworkConfig) -> None:
     _check_dim(cfg.input_dim, "input_dim")
     if not cfg.output_streams:
         raise ConfigError("output_streams: need at least one stream")
-    if cfg.precision not in ("fp32", "fp64"):
-        raise ConfigError(f"precision: expected 'fp32' or 'fp64', got {cfg.precision!r}")
+    if not isinstance(cfg.precision, str) or cfg.precision not in PRECISIONS:
+        raise ConfigError(f"precision: expected {' or '.join(map(repr, PRECISIONS))}, "
+                          f"got {cfg.precision!r}")
     for si, s in enumerate(cfg.output_streams):
         loc = f"output_streams[{si}]"
         if not isinstance(s.name, str):
@@ -334,59 +337,55 @@ class NetworkParams:
     heads: dict = field(default_factory=dict)   # stream name -> Affine
 
 
+def layer_dims(cfg: NetworkConfig) -> list:
+    """Input width of every layer plus the final hidden width."""
+    return [cfg.input_dim] + [spec.hidden for spec in cfg.layers]
+
+
+def _tensor_groups(cfg: NetworkConfig) -> Iterator[tuple]:
+    """Yield (class-tag prefix, path, container class, {field: shape}) for
+    every parameter group in file order: each layer, then each output head.
+    The one place the tensor layout is written down."""
+    dims = layer_dims(cfg)
+    for li, (spec, d_in) in enumerate(zip(cfg.layers, dims)):
+        if isinstance(spec, DfsmnLayerSpec):
+            yield "", f"layer{li}", L.DfsmnLayerParams, {
+                "proj_weight": (d_in, spec.proj),
+                "proj_bias": (spec.proj,),
+                "back_taps": (spec.n_back + 1, spec.proj),
+                "ahead_taps": (spec.n_ahead, spec.proj),
+                "out_weight": (spec.proj, spec.hidden),
+                "out_bias": (spec.hidden,),
+            }
+        else:
+            yield "fc_", f"layer{li}", Affine, {"weight": (d_in, spec.hidden),
+                                               "bias": (spec.hidden,)}
+    for s in cfg.output_streams:
+        yield "head_", f"head.{s.name}", Affine, {"weight": (dims[-1], s.dim),
+                                                  "bias": (s.dim,)}
+
+
 def iter_tensors(cfg: NetworkConfig, params: NetworkParams) -> Iterator[tuple]:
     """Yield ("class", "path", array) for every tensor, in declaration order.
 
     The class tag groups tensors for gradient-check reporting and the order
     defines the model-file layout, so it must stay stable.
     """
-    for li, (spec, p) in enumerate(zip(cfg.layers, params.layers)):
-        if isinstance(spec, DfsmnLayerSpec):
-            yield "proj_weight", f"layer{li}.proj_weight", p.proj_weight
-            yield "proj_bias", f"layer{li}.proj_bias", p.proj_bias
-            yield "back_taps", f"layer{li}.back_taps", p.back_taps
-            yield "ahead_taps", f"layer{li}.ahead_taps", p.ahead_taps
-            yield "out_weight", f"layer{li}.out_weight", p.out_weight
-            yield "out_bias", f"layer{li}.out_bias", p.out_bias
-        else:
-            yield "fc_weight", f"layer{li}.weight", p.weight
-            yield "fc_bias", f"layer{li}.bias", p.bias
-    for s in cfg.output_streams:
-        hp = params.heads[s.name]
-        yield "head_weight", f"head.{s.name}.weight", hp.weight
-        yield "head_bias", f"head.{s.name}.bias", hp.bias
-
-
-def layer_dims(cfg: NetworkConfig) -> list:
-    """Input width of every layer plus the final hidden width."""
-    return [cfg.input_dim] + [spec.hidden for spec in cfg.layers]
+    groups = params.layers + [params.heads[s.name] for s in cfg.output_streams]
+    for (prefix, path, _, shapes), p in zip(_tensor_groups(cfg), groups, strict=True):
+        for name in shapes:
+            yield prefix + name, f"{path}.{name}", getattr(p, name)
 
 
 def zeros_network(cfg: NetworkConfig) -> NetworkParams:
-    """Zero-filled parameters of the configured shapes; the one place that
-    writes the tensor layout down (iter_tensors fixes the order)."""
+    """Zero-filled parameters, allocated from the group table of
+    _tensor_groups, which fixes every shape and the order iter_tensors walks."""
     dt = cfg.dtype()
-    dims = layer_dims(cfg)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=dt)
-
-    params = NetworkParams()
-    for spec, d_in in zip(cfg.layers, dims):
-        if isinstance(spec, DfsmnLayerSpec):
-            params.layers.append(L.DfsmnLayerParams(
-                proj_weight=zeros(d_in, spec.proj),
-                proj_bias=zeros(spec.proj),
-                back_taps=zeros(spec.n_back + 1, spec.proj),
-                ahead_taps=zeros(spec.n_ahead, spec.proj),
-                out_weight=zeros(spec.proj, spec.hidden),
-                out_bias=zeros(spec.hidden),
-            ))
-        else:
-            params.layers.append(Affine(zeros(d_in, spec.hidden), zeros(spec.hidden)))
-    for s in cfg.output_streams:
-        params.heads[s.name] = Affine(zeros(dims[-1], s.dim), zeros(s.dim))
-    return params
+    groups = [cls(**{name: np.zeros(shape, dtype=dt) for name, shape in shapes.items()})
+              for _, _, cls, shapes in _tensor_groups(cfg)]
+    n = len(cfg.layers)
+    return NetworkParams(groups[:n], {s.name: g for s, g in
+                                      zip(cfg.output_streams, groups[n:], strict=True)})
 
 
 def build_network(cfg: NetworkConfig, seed: int) -> NetworkParams:
@@ -406,20 +405,9 @@ def build_network(cfg: NetworkConfig, seed: int) -> NetworkParams:
 
 
 def count_params(cfg: NetworkConfig) -> int:
-    """Exact scalar count from the closed-form per-layer sums."""
-    dims = layer_dims(cfg)
-    total = 0
-    for li, spec in enumerate(cfg.layers):
-        d_in = dims[li]
-        if isinstance(spec, DfsmnLayerSpec):
-            total += d_in * spec.proj + spec.proj
-            total += (spec.n_back + 1 + spec.n_ahead) * spec.proj
-            total += spec.proj * spec.hidden + spec.hidden
-        else:
-            total += d_in * spec.hidden + spec.hidden
-    for s in cfg.output_streams:
-        total += dims[-1] * s.dim + s.dim
-    return total
+    """Exact scalar count, summed over the group table without allocating."""
+    return sum(math.prod(shape) for *_, shapes in _tensor_groups(cfg)
+               for shape in shapes.values())
 
 
 # ---------------------------------------------------------------------------

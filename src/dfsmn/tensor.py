@@ -23,7 +23,6 @@ __all__ = [
     "Counter64",
     "derive_seed",
     "seeded_normal",
-    "resolve_dtype",
 ]
 
 _U64 = np.uint64
@@ -35,15 +34,6 @@ _MASK64 = (1 << 64) - 1
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible; message names both shapes."""
-
-
-def resolve_dtype(precision: str) -> np.dtype:
-    """Map a precision flag ("fp32" or "fp64") to a numpy dtype."""
-    table = {"fp32": np.dtype(np.float32), "fp64": np.dtype(np.float64)}
-    try:
-        return table[precision]
-    except KeyError:
-        raise ValueError(f"unknown precision {precision!r}; expected 'fp32' or 'fp64'")
 
 
 def as_sequence(x, dtype=None) -> np.ndarray:

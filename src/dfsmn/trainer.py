@@ -21,6 +21,7 @@ from .tensor import Counter64, ShapeError, derive_seed, seeded_normal
 
 ECHO_STREAM = "echo"
 TOY_STREAMS = ("mcep", "lf0", "bap", "uv")
+DECAY_FACTOR = 0.1  # lr multiplier on stalled validation
 
 
 @dataclass
@@ -31,7 +32,6 @@ class TrainConfig:
 
     batch_frames: int = 512
     lr: float = 5e-7
-    decay_factor: float = 0.1
     patience: int = 1
     min_improvement: float = 0.005
     max_epochs: int = 10
@@ -40,10 +40,10 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr == 0 is tolerated: a no-op run is a useful determinism probe
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if not (0 < self.decay_factor < 1):
-            raise ValueError(f"decay_factor must be in (0,1), got {self.decay_factor}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_frames < 1:
             raise ValueError(f"batch_frames must be >= 1, got {self.batch_frames}")
 
@@ -84,12 +84,11 @@ def sgd_step(cfg: NetworkConfig, params: NetworkParams, grads: NetworkParams,
 
 @dataclass
 class LrScheduler:
-    """Decays lr by decay_factor after `patience` consecutive validation
+    """Decays lr by DECAY_FACTOR after `patience` consecutive validation
     evaluations whose relative improvement over the best seen falls short of
     min_improvement. At most one decay per evaluation."""
 
     lr: float
-    decay_factor: float = 0.1
     patience: int = 1
     min_improvement: float = 0.005
     best: Optional[float] = None
@@ -112,7 +111,7 @@ class LrScheduler:
         if validation_mse < self.best:
             self.best = validation_mse
         if self.streak >= self.patience:
-            self.lr *= self.decay_factor
+            self.lr *= DECAY_FACTOR
             self.streak = 0
         return self.lr
 
@@ -417,8 +416,7 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
     check_dataset(cfg, dataset)
     valid_set = valid if valid else dataset
     check_dataset(cfg, valid_set)
-    sched = LrScheduler(lr=train_cfg.lr, decay_factor=train_cfg.decay_factor,
-                        patience=train_cfg.patience,
+    sched = LrScheduler(lr=train_cfg.lr, patience=train_cfg.patience,
                         min_improvement=train_cfg.min_improvement)
     weights = train_cfg.stream_weights
     history = []

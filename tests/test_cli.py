@@ -184,6 +184,17 @@ class TestTrainEval:
                      "--out", str(tmp_path / "m.dfsmn")]) == 2
         assert "layers[0].hidden" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,knob", [("--epochs", "0", "max_epochs"),
+                                                 ("--lr", "nan", "lr")])
+    def test_train_bad_knob_exits_2_before_writing(self, tmp_path, echo_data, capsys,
+                                                   flag, value, knob):
+        model = tmp_path / "m.dfsmn"
+        assert main(["train", "--config", str(self._write_cfg(tmp_path)),
+                     "--data", str(echo_data), "--out", str(model), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {knob} must be")
+        assert not model.exists()
+        assert not (tmp_path / "m.dfsmn.history").exists()
+
     def test_eval_header_only_huge_model_exits_2(self, tmp_path, echo_data, capsys):
         cfg = expand_shorthand("1+0", "0,0,1,1", input_dim=100_000, hidden=100_000,
                                proj=10_000)

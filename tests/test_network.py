@@ -246,6 +246,14 @@ class TestParseConfig:
         assert parse_config(config_to_json(cfg)) == cfg
 
 
+# pinned: count_params reads the same layout table that zeros_network allocates
+PRESET_PARAM_COUNTS = {
+    "A": 14_187_595, "B": 14_190_667, "C": 14_199_883, "D": 14_215_243,
+    "E": 20_546_635, "F": 28_988_491, "G": 29_090_891, "H": 29_295_691,
+    "I": 29_705_291,
+}
+
+
 class TestBuild:
     def test_same_seed_bit_identical(self):
         cfg = tiny_cfg()
@@ -268,8 +276,9 @@ class TestBuild:
                 assert not p.back_taps.any()
                 assert not p.ahead_taps.any()
 
-    def test_preset_a_parameter_count(self):
-        assert count_params(preset_config("A")) == 14_187_595
+    @pytest.mark.parametrize("preset", sorted(PRESET_PARAM_COUNTS))
+    def test_preset_parameter_count(self, preset):
+        assert count_params(preset_config(preset)) == PRESET_PARAM_COUNTS[preset]
 
     def test_fc_layer_closed_form(self):
         # contribution of one 2-in 3-out affine layer is 2*3 + 3 = 9 scalars

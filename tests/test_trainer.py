@@ -117,27 +117,26 @@ class TestLrScheduler:
         assert sched.lr == 0.1
 
     def test_flat_twice_decays_once(self):
-        sched = LrScheduler(lr=0.1, decay_factor=0.1, patience=1)
+        sched = LrScheduler(lr=0.1, patience=1)
         sched.step(1.0)
         new_lr = sched.step(1.0)
         assert new_lr == pytest.approx(0.01)
 
     def test_at_most_one_decay_per_evaluation(self):
-        sched = LrScheduler(lr=1.0, decay_factor=0.1, patience=1)
+        sched = LrScheduler(lr=1.0, patience=1)
         sched.step(1.0)
         lrs = [sched.step(1.0) for _ in range(3)]
         assert lrs == pytest.approx([0.1, 0.01, 0.001])
 
     def test_patience_two_needs_two_bad_evals(self):
-        sched = LrScheduler(lr=1.0, decay_factor=0.1, patience=2)
+        sched = LrScheduler(lr=1.0, patience=2)
         sched.step(1.0)
         assert sched.step(1.0) == 1.0      # first stall
         assert sched.step(1.0) == 0.1      # second stall decays
         assert sched.step(0.5) == 0.1      # big improvement resets
 
     def test_insufficient_improvement_counts_as_stall(self):
-        sched = LrScheduler(lr=1.0, decay_factor=0.1, patience=1,
-                            min_improvement=0.01)
+        sched = LrScheduler(lr=1.0, patience=1, min_improvement=0.01)
         sched.step(1.0)
         assert sched.step(0.9999) == 0.1   # 0.01% is not enough
 
