@@ -4,8 +4,7 @@ analysis (receptive field, size, FLOPS), and objective speech metrics."""
 
 from .analysis import CostReport, analyze, flops_per_frame, receptive_field, table_report
 from .layers import DfsmnLayerParams
-from .metrics import (NormStats, apply_norm, bapd, f0_rmse, fit_norm, interpolate_f0,
-                      invert_norm, mcd, total_mse, uv_error)
+from .metrics import bapd, f0_rmse, mcd, total_mse, uv_error
 from .model_io import load_model, save_model
 from .network import (DfsmnLayerSpec, FcLayerSpec, NetworkConfig, NetworkParams,
                       StreamSpec, build_network, count_params, expand_shorthand,

@@ -111,12 +111,6 @@ def _pooled_streams(dataset) -> dict:
             for n in names}
 
 
-def _predicted_streams(params, cfg, dataset) -> dict:
-    outs = [net.forward(params, cfg, seq.inputs)[0] for seq in dataset]
-    return {s.name: np.concatenate([o[s.name] for o in outs], axis=0)
-            for s in cfg.output_streams}
-
-
 def cmd_eval(args) -> int:
     if args.hyp:
         if not (args.ref or args.data):
@@ -132,12 +126,12 @@ def cmd_eval(args) -> int:
         params, cfg = load_model(args.model)
         dataset = load_dataset(args.data)
         ref = _pooled_streams(dataset)
-        hyp = _predicted_streams(params, cfg, dataset)
         missing = set(s.name for s in cfg.output_streams) - set(ref)
         if missing:
             print(f"error: data lacks reference stream(s) {sorted(missing)}",
                   file=sys.stderr)
             return 2
+        hyp = trainer.predict(params, cfg, dataset)
         ref = {k: ref[k] for k in hyp}
 
     common = sorted(set(ref) & set(hyp))

@@ -1,75 +1,17 @@
-"""Feature normalization and the objective measures used to compare predicted
-and reference acoustic streams: mel-cepstral distortion, F0 RMSE on commonly
-voiced frames, band-aperiodicity distortion, voicing error rate, and pooled
-MSE over normalized streams. Plus the F0 linear-interpolation preprocessing
-that fills unvoiced gaps before modeling.
+"""The objective measures used to compare predicted and reference acoustic
+streams: mel-cepstral distortion, F0 RMSE on commonly voiced frames,
+band-aperiodicity distortion, voicing error rate, and pooled MSE.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import ShapeError
 
-STD_FLOOR = 1e-8
 MCD_DB = 10.0 / math.log(10.0)  # nats -> dB
-
-
-@dataclass
-class NormStats:
-    """Per-dimension mean/std over a fitting set (population convention)."""
-
-    mean: np.ndarray
-    std: np.ndarray           # floored at STD_FLOOR
-    floored: np.ndarray       # bool mask of dims whose std hit the floor
-
-
-def fit_norm(sequences) -> NormStats:
-    """Pool frames of all sequences and fit per-dim zero-mean/unit-variance stats."""
-    seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if not seqs:
-        raise ValueError("need at least one sequence")
-    dim = seqs[0].shape[1]
-    for s in seqs:
-        if s.ndim != 2 or s.shape[1] != dim:
-            raise ShapeError(f"inconsistent sequence shape {s.shape}, expected T x {dim}")
-    pooled = np.concatenate(seqs, axis=0)
-    if pooled.shape[0] < 2:
-        raise ValueError(f"need >= 2 frames to fit stats, got {pooled.shape[0]}")
-    mean = pooled.mean(axis=0)
-    std = pooled.std(axis=0)  # population (1/N)
-    floored = std < STD_FLOOR
-    return NormStats(mean=mean, std=np.maximum(std, STD_FLOOR), floored=floored)
-
-
-def apply_norm(seq, stats: NormStats) -> np.ndarray:
-    seq = np.asarray(seq)
-    if seq.shape[1] != stats.mean.shape[0]:
-        raise ShapeError(f"dim {seq.shape[1]} != stats dim {stats.mean.shape[0]}")
-    return (seq - stats.mean) / stats.std
-
-
-def invert_norm(seq, stats: NormStats) -> np.ndarray:
-    seq = np.asarray(seq)
-    if seq.shape[1] != stats.mean.shape[0]:
-        raise ShapeError(f"dim {seq.shape[1]} != stats dim {stats.mean.shape[0]}")
-    return seq * stats.std + stats.mean
-
-
-def interpolate_f0(f0_hz, uv):
-    """Fill unvoiced gaps by linear interpolation between voiced neighbours;
-    leading/trailing unvoiced runs hold the nearest voiced value."""
-    f0 = np.asarray(f0_hz, dtype=np.float64)
-    flat = f0.reshape(-1)
-    voiced = _voiced_mask(uv, flat.shape[0])
-    if not voiced.any():
-        raise ValueError("cannot interpolate an all-unvoiced sequence")
-    idx = np.arange(flat.shape[0])
-    filled = np.interp(idx, idx[voiced], flat[voiced])
-    return filled.reshape(f0.shape)
 
 
 def mcd(ref_mcep, hyp_mcep) -> float:

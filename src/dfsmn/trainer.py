@@ -22,6 +22,7 @@ from .tensor import Counter64, ShapeError, derive_seed, seeded_normal
 ECHO_STREAM = "echo"
 TOY_STREAMS = ("mcep", "lf0", "bap", "uv")
 DECAY_FACTOR = 0.1  # lr multiplier on stalled validation
+EVAL_FRAMES = 512   # frames per packed forward in predict, as batch_frames' default
 
 
 @dataclass
@@ -44,6 +45,10 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if not math.isfinite(self.min_improvement):
+            raise ValueError(f"min_improvement must be finite, got {self.min_improvement}")
         if self.batch_frames < 1:
             raise ValueError(f"batch_frames must be >= 1, got {self.batch_frames}")
 
@@ -371,25 +376,42 @@ def check_dataset(cfg: NetworkConfig, dataset) -> None:
                                  f"{got} != {want}")
 
 
+def predict(params, cfg, dataset) -> dict:
+    """Network outputs of every sequence, concatenated per stream in dataset
+    order. Sequences are forwarded in packed chunks of >= EVAL_FRAMES frames
+    with taps kept inside each sequence; only inputs are read."""
+    chunks = []
+    for batch in _batches(range(len(dataset)), dataset, EVAL_FRAMES):
+        outs, _ = net.forward(params, cfg, np.concatenate([seq.inputs for seq in batch]),
+                              bounds=_bounds(batch))
+        chunks.append(outs)
+    return {s.name: np.concatenate([outs[s.name] for outs in chunks])
+            for s in cfg.output_streams}
+
+
 def evaluate_mse(params, cfg, dataset, weights=None) -> float:
     """Frame-weighted multi-task MSE over a dataset."""
-    total = 0.0
-    for seq in dataset:
-        inputs, targets, _ = _pack([seq], cfg)
-        outs, _ = net.forward(params, cfg, inputs)
-        loss, _ = multitask_mse(outs, targets, weights)
-        total += seq.frames * loss
-    return total / sum(seq.frames for seq in dataset)
+    loss, _ = multitask_mse(predict(params, cfg, dataset), _targets(dataset, cfg), weights)
+    return loss
+
+
+def _bounds(batch) -> list:
+    """The (start, end) rows of each sequence once batch is stacked."""
+    ends = np.cumsum([seq.frames for seq in batch]).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _targets(batch, cfg: NetworkConfig) -> dict:
+    """Each stream's targets stacked over batch, in cfg precision."""
+    return {s.name: np.concatenate([seq.targets[s.name] for seq in batch])
+            .astype(cfg.dtype(), copy=False) for s in cfg.output_streams}
 
 
 def _pack(batch, cfg: NetworkConfig):
     """Sequences stacked into one frame matrix: (inputs, {stream: targets in
     cfg precision}, the (start, end) rows of each sequence)."""
-    ends = np.cumsum([seq.frames for seq in batch]).tolist()
-    targets = {s.name: np.concatenate([seq.targets[s.name] for seq in batch])
-               .astype(cfg.dtype(), copy=False) for s in cfg.output_streams}
-    return (np.concatenate([seq.inputs for seq in batch]), targets,
-            list(zip([0] + ends[:-1], ends)))
+    return (np.concatenate([seq.inputs for seq in batch]), _targets(batch, cfg),
+            _bounds(batch))
 
 
 def _batches(order, dataset, batch_frames):

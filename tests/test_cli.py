@@ -7,8 +7,8 @@ import pytest
 
 from dfsmn.cli import main
 from dfsmn.features import read_feature, read_manifest
-from dfsmn.model_io import MAGIC, VERSION
-from dfsmn.network import config_to_json, expand_shorthand
+from dfsmn.model_io import MAGIC, VERSION, save_model
+from dfsmn.network import build_network, config_to_json, expand_shorthand, parse_config
 
 FP64_TANH_CONFIG = {
     "input_dim": 4,
@@ -185,7 +185,10 @@ class TestTrainEval:
         assert "layers[0].hidden" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,knob", [("--epochs", "0", "max_epochs"),
-                                                 ("--lr", "nan", "lr")])
+                                                 ("--lr", "nan", "lr"),
+                                                 ("--patience", "0", "patience"),
+                                                 ("--min-improvement", "nan",
+                                                  "min_improvement")])
     def test_train_bad_knob_exits_2_before_writing(self, tmp_path, echo_data, capsys,
                                                    flag, value, knob):
         model = tmp_path / "m.dfsmn"
@@ -218,6 +221,16 @@ class TestTrainEval:
         assert "total_mse" in out
         assert "mcd_db skipped" in out
         assert "f0_rmse_hz skipped" in out
+
+    def test_eval_data_lacking_a_model_stream_exits_2(self, tmp_path, echo_data, capsys):
+        two_streams = dict(ECHO_TRAIN_CONFIG, output_streams=[
+            {"name": "echo", "dim": 1}, {"name": "uv", "dim": 1, "activation": "sigmoid"}])
+        cfg = parse_config(json.dumps(two_streams))
+        model = tmp_path / "m.dfsmn"
+        save_model(build_network(cfg, 0), cfg, str(model))
+        assert main(["eval", "--model", str(model),
+                     "--data", str(echo_data / "valid")]) == 2
+        assert capsys.readouterr().err == "error: data lacks reference stream(s) ['uv']\n"
 
     def test_eval_identical_datasets_all_zero(self, tmp_path, capsys):
         data = tmp_path / "toy"

@@ -5,81 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsmn.metrics import (apply_norm, bapd, f0_rmse, fit_norm, interpolate_f0,
-                           invert_norm, mcd, total_mse, uv_error)
+from dfsmn.metrics import bapd, f0_rmse, mcd, total_mse, uv_error
 from dfsmn.tensor import Counter64, ShapeError
 
 K_DB = 10.0 / math.log(10.0)
-
-
-class TestNorm:
-    def test_two_values(self):
-        stats = fit_norm([np.array([[1.0], [3.0]])])
-        assert stats.mean[0] == 2.0
-        assert stats.std[0] == 1.0  # population convention
-        normed = apply_norm(np.array([[1.0], [3.0]]), stats)
-        assert np.array_equal(normed, np.array([[-1.0], [1.0]]))
-
-    def test_already_normalized(self):
-        rng = Counter64(0)
-        x = rng.normal(5000).reshape(-1, 2)
-        stats = fit_norm([x])
-        normed = apply_norm(x, stats)
-        assert abs(normed.mean()) < 1e-12
-        assert abs(normed.std() - 1.0) < 1e-12
-
-    def test_apply_invert_roundtrip(self):
-        rng = Counter64(1)
-        x = 3.0 + 2.5 * rng.normal(400).reshape(-1, 4)
-        stats = fit_norm([x])
-        back = invert_norm(apply_norm(x, stats), stats)
-        assert np.max(np.abs(back - x) / np.maximum(np.abs(x), 1e-12)) < 1e-10
-
-    def test_constant_dim_floored_and_flagged(self):
-        x = np.column_stack([np.ones(10), np.arange(10.0)])
-        stats = fit_norm([x])
-        assert stats.floored[0] and not stats.floored[1]
-        assert stats.std[0] == 1e-8
-
-    def test_needs_two_frames(self):
-        with pytest.raises(ValueError):
-            fit_norm([np.array([[1.0, 2.0]])])
-
-    def test_pools_multiple_sequences(self):
-        a = np.array([[0.0], [2.0]])
-        b = np.array([[4.0]])
-        stats = fit_norm([a, b])
-        assert stats.mean[0] == 2.0
-
-
-class TestInterpolateF0:
-    def test_all_voiced_unchanged(self):
-        f0 = np.array([[100.0], [120.0]])
-        out = interpolate_f0(f0, np.ones(2))
-        assert np.array_equal(out, f0)
-
-    def test_interior_gap(self):
-        out = interpolate_f0(np.array([100.0, 0.0, 0.0, 160.0]),
-                             np.array([1, 0, 0, 1]))
-        assert np.allclose(out, [100.0, 120.0, 140.0, 160.0], atol=1e-12)
-
-    def test_edges_held(self):
-        out = interpolate_f0(np.array([0.0, 100.0, 0.0]), np.array([0, 1, 0]))
-        assert np.array_equal(out, np.array([100.0, 100.0, 100.0]))
-
-    def test_all_unvoiced_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate_f0(np.zeros(4), np.zeros(4))
-
-    def test_voiced_frames_preserved_exactly(self):
-        rng = Counter64(5)
-        f0 = 100.0 + 20.0 * rng.normal(50)
-        uv = (rng.uniform(50) > 0.4).astype(float)
-        uv[7] = 1.0
-        out = interpolate_f0(f0, uv)
-        voiced = uv >= 0.5
-        assert np.array_equal(out[voiced], f0[voiced])
-        assert np.all(np.isfinite(out))
 
 
 class TestMcd:

@@ -494,6 +494,31 @@ class TestPackedBatch:
         Counter64(derive_seed(tc.seed, 0)).shuffle(order)
         n_batches = len(list(trainer._batches(order, seqs, tc.batch_frames)))
         assert n_batches < len(seqs)
+        n_chunks = len(list(trainer._batches(range(len(seqs)), seqs, trainer.EVAL_FRAMES)))
         train(cfg, params, seqs, tc)
-        # the per-epoch validation forwards each sequence on its own
-        assert calls == {"forward": n_batches + len(seqs), "backward": n_batches}
+        # the per-epoch validation forwards one packed chunk at a time
+        assert calls == {"forward": n_batches + n_chunks, "backward": n_batches}
+
+    def _small_eval_chunks(self, monkeypatch, seqs):
+        monkeypatch.setattr(trainer, "EVAL_FRAMES", 5)
+        assert len(list(trainer._batches(range(len(seqs)), seqs, trainer.EVAL_FRAMES))) >= 3
+
+    def test_predict_equals_per_sequence_forward(self, monkeypatch):
+        cfg, params, seqs = packing_case()
+        self._small_eval_chunks(monkeypatch, seqs)
+        want = [net.forward(params, cfg, seq.inputs)[0] for seq in seqs]
+        # only inputs are read: reference streams may be absent
+        got = trainer.predict(params, cfg, [SequenceData(seq.seq_id, seq.inputs)
+                                            for seq in seqs])
+        assert sorted(got) == ["a", "b"]
+        for name, out in got.items():
+            assert rel_err(out, np.concatenate([w[name] for w in want])) <= 1e-10, name
+
+    def test_evaluate_mse_equals_frame_weighted_per_sequence_sum(self, monkeypatch):
+        cfg, params, seqs = packing_case()
+        self._small_eval_chunks(monkeypatch, seqs)
+        want = sum(seq.frames * multitask_mse(net.forward(params, cfg, seq.inputs)[0],
+                                              seq.targets, self.WEIGHTS)[0]
+                   for seq in seqs) / sum(seq.frames for seq in seqs)
+        got = evaluate_mse(params, cfg, seqs, self.WEIGHTS)
+        assert abs(got - want) <= 1e-10 * want
