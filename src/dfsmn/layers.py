@@ -1,15 +1,16 @@
 """Sequence-layer math: low-rank projection, FIR-style memory blocks, output
 transforms, and hand-written backward passes for all of them.
 
-A memory-block layer computes, per frame t of the projected sequence p:
+A memory-block layer computes, per frame t of the projected sequence p,
 
-    ptilde[t] = [skip[t] +] p[t] + sum_{i=0..n_back}  back_taps[i]  * p[t - stride_back * i]
-                                 + sum_{j=1..n_ahead} ahead_taps[j-1] * p[t + stride_ahead * j]
+    ptilde[t] = [skip[t] +] p[t] + sum_q taps[q] * p[t + offsets[q]]
 
-with element-wise tap vectors and zero padding outside [0, T). The layer output
-is act(ptilde @ out_weight + out_bias). The optional skip input is the previous
-layer's ptilde added through an identity map, which requires equal projection
-widths across skip-connected layers.
+with taps = [*back_taps, *ahead_taps] (element-wise vectors) and the signed
+offsets 0, -s_b, ..., -n_back*s_b, s_a, ..., n_ahead*s_a (s = stride), zero
+padded outside each bounds segment. The input gradient is the same tap walk
+with every offset negated. The layer output is act(ptilde @ out_weight +
+out_bias); the optional skip input, the previous layer's ptilde, is added
+through an identity map, so skip-connected layers share one projection width.
 """
 
 from __future__ import annotations
@@ -88,18 +89,8 @@ def memory_block(p_seq: np.ndarray, back_taps: np.ndarray, ahead_taps: np.ndarra
     out = p_seq.copy()
     if skip_seq is not None:
         out += skip_seq
-    for a, b in _segments(bounds, p_seq.shape[0]):
-        p, o, T = p_seq[a:b], out[a:b], b - a
-        for i in range(spec.n_back + 1):
-            k = i * spec.stride_back
-            if k == 0:
-                o += back_taps[i] * p
-            elif k < T:
-                o[k:] += back_taps[i] * p[:-k]
-        for j in range(1, spec.n_ahead + 1):
-            k = j * spec.stride_ahead
-            if k < T:
-                o[:-k] += ahead_taps[j - 1] * p[k:]
+    _tap_sum(out, p_seq, [*back_taps, *ahead_taps], _tap_offsets(spec),
+             _segments(bounds, p_seq.shape[0]))
     return out
 
 
@@ -107,27 +98,36 @@ def memory_block_backward(grad_ptilde: np.ndarray, p_seq: np.ndarray,
                           back_taps: np.ndarray, ahead_taps: np.ndarray,
                           spec: DfsmnLayerSpec, bounds=None):
     """Gradients of the tap sum: returns (d p_seq, d back_taps, d ahead_taps,
-    d skip), the last None when spec has no skip connection."""
+    d skip); d skip is grad_ptilde itself, or None when spec has no skip."""
+    offsets, segments = _tap_offsets(spec), _segments(bounds, p_seq.shape[0])
     gp = grad_ptilde.copy()
-    d_back = np.zeros_like(back_taps)
-    d_ahead = np.zeros_like(ahead_taps)
-    for a, b in _segments(bounds, p_seq.shape[0]):
-        g, p, gps, T = grad_ptilde[a:b], p_seq[a:b], gp[a:b], b - a
-        for i in range(spec.n_back + 1):
-            k = i * spec.stride_back
-            if k == 0:
-                gps += back_taps[i] * g
-                d_back[i] += (g * p).sum(axis=0)
-            elif k < T:
-                gps[:-k] += back_taps[i] * g[k:]
-                d_back[i] += (g[k:] * p[:-k]).sum(axis=0)
-        for j in range(1, spec.n_ahead + 1):
-            k = j * spec.stride_ahead
-            if k < T:
-                gps[k:] += ahead_taps[j - 1] * g[:-k]
-                d_ahead[j - 1] += (g[:-k] * p[k:]).sum(axis=0)
-    g_skip = grad_ptilde.copy() if spec.skip else None
-    return gp, d_back, d_ahead, g_skip
+    _tap_sum(gp, grad_ptilde, [*back_taps, *ahead_taps], [-k for k in offsets], segments)
+    d_back, d_ahead = np.zeros_like(back_taps), np.zeros_like(ahead_taps)
+    d_taps = [*d_back, *d_ahead]
+    for q, rows, src in _tap_rows(offsets, segments):
+        d_taps[q] += (grad_ptilde[rows] * p_seq[src]).sum(axis=0)
+    return gp, d_back, d_ahead, grad_ptilde if spec.skip else None
+
+
+def _tap_offsets(spec: DfsmnLayerSpec) -> list:
+    """Each stored tap's signed frame offset: 0, -s_b, -2 s_b, ..., then s_a, 2 s_a, ..."""
+    return ([-i * spec.stride_back for i in range(spec.n_back + 1)]
+            + [j * spec.stride_ahead for j in range(1, spec.n_ahead + 1)])
+
+
+def _tap_sum(out: np.ndarray, x: np.ndarray, taps, offsets, bounds) -> None:
+    """out[t] += taps[q] * x[t + offsets[q]], taps in order, within each segment."""
+    for q, rows, src in _tap_rows(offsets, bounds):
+        out[rows] += taps[q] * x[src]
+
+
+def _tap_rows(offsets, bounds):
+    """(q, rows, rows + offsets[q]) slices per segment and tap, both inside the segment."""
+    for a, b in bounds:
+        for q, k in enumerate(offsets):
+            if abs(k) < b - a:
+                lo, hi = a + max(0, -k), b - max(0, k)
+                yield q, slice(lo, hi), slice(lo + k, hi + k)
 
 
 def _segments(bounds, T: int) -> list:

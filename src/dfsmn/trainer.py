@@ -8,7 +8,9 @@ acoustic toy for overfit sanity runs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -45,10 +47,6 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not math.isfinite(self.min_improvement):
-            raise ValueError(f"min_improvement must be finite, got {self.min_improvement}")
         if self.batch_frames < 1:
             raise ValueError(f"batch_frames must be >= 1, got {self.batch_frames}")
 
@@ -98,6 +96,12 @@ class LrScheduler:
     min_improvement: float = 0.005
     best: Optional[float] = None
     streak: int = 0
+
+    def __post_init__(self):
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if not math.isfinite(self.min_improvement):
+            raise ValueError(f"min_improvement must be finite, got {self.min_improvement}")
 
     def step(self, validation_mse: float) -> float:
         if not math.isfinite(validation_mse):
@@ -161,6 +165,9 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
     """
     if cfg.precision != "fp64":
         raise ValueError("gradient check needs an fp64 network config")
+    for knob, value in (("step", step), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{knob} must be finite and > 0, got {value}")
     params = build_network(cfg, seed)
     for li, (spec, p) in enumerate(zip(cfg.layers, params.layers)):
         if isinstance(spec, DfsmnLayerSpec):
@@ -192,10 +199,11 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
     report = GradCheckReport(tolerance=tolerance, step=step)
     rng = Counter64(derive_seed(seed, 7300))
     for cls, pairs in by_class.items():
-        coords = [(arr, g, i) for arr, g in pairs for i in range(arr.size)]
-        for ci in _sample(rng, len(coords), samples_per_class):
-            arr, g, i = coords[ci]
-            _probe(report, cls, loss_value, arr, g, i)
+        starts = list(accumulate((arr.size for arr, _ in pairs), initial=0))
+        for ci in _sample(rng, starts[-1], samples_per_class):
+            k = bisect_right(starts, ci) - 1  # the last tensor starting at or before ci
+            arr, g = pairs[k]
+            _probe(report, cls, loss_value, arr, g, ci - starts[k])
     for i in _sample(rng, x.size, samples_per_class):
         _probe(report, "input", loss_value, x, grad_in, i)
     _check_skip_gradient(cfg, cache, report, rng, samples_per_class)
@@ -279,6 +287,10 @@ class SyntheticTaskSpec:
             raise ValueError(f"lag must satisfy 0 <= lag < seq_len, got {self.lag}")
         if self.num_sequences < 1 or self.seq_len < 1 or self.input_dim < 1:
             raise ValueError("sequence counts and dims must be >= 1")
+        if self.valid_sequences < 0:
+            raise ValueError(f"valid_sequences must be >= 0, got {self.valid_sequences}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
     def n_valid(self) -> int:
         return self.valid_sequences or max(1, self.num_sequences // 4)
@@ -435,11 +447,11 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
     gradient are frame-weighted sums over the sequences. Returns (params,
     [EpochStats per epoch]). Deterministic in (seed, cfg, dataset).
     """
+    sched = LrScheduler(lr=train_cfg.lr, patience=train_cfg.patience,
+                        min_improvement=train_cfg.min_improvement)
     check_dataset(cfg, dataset)
     valid_set = valid if valid else dataset
     check_dataset(cfg, valid_set)
-    sched = LrScheduler(lr=train_cfg.lr, patience=train_cfg.patience,
-                        min_improvement=train_cfg.min_improvement)
     weights = train_cfg.stream_weights
     history = []
     for epoch in range(train_cfg.max_epochs):

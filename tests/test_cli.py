@@ -96,6 +96,21 @@ class TestGradcheck:
         assert main(["gradcheck", "--config", str(cfg)]) == 2
         assert "fp64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,knob", [("--step", "0", "step"),
+                                                 ("--step", "nan", "step"),
+                                                 ("--step", "-1e-5", "step"),
+                                                 ("--tol", "nan", "tolerance"),
+                                                 ("--tol", "0", "tolerance"),
+                                                 ("--tol", "inf", "tolerance")])
+    def test_bad_knob_exits_2(self, tmp_path, capsys, flag, value, knob):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FP64_TANH_CONFIG))
+        assert main(["gradcheck", "--config", str(cfg), "--frames", "4",
+                     f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {knob} must be finite and > 0")
+        assert captured.out == ""
+
 
 class TestSynthdata:
     def test_deterministic_bytes(self, tmp_path):
@@ -118,6 +133,18 @@ class TestSynthdata:
             assert name == "echo"
             assert x.shape == y.shape == (frames, 1)
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("flag,value,knob", [("--valid-sequences", "-1",
+                                                  "valid_sequences"),
+                                                 ("--noise-std", "nan", "noise_std"),
+                                                 ("--noise-std", "-1", "noise_std"),
+                                                 ("--noise-std", "inf", "noise_std")])
+    def test_bad_knob_exits_2_before_writing(self, tmp_path, capsys, flag, value, knob):
+        out = tmp_path / "d"
+        assert main(["synthdata", "--sequences", "4", "--len", "8", "--out", str(out),
+                     f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {knob} must be")
+        assert not out.exists()
 
     def test_manifest_matches_headers(self, tmp_path):
         out = tmp_path / "d"

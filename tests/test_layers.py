@@ -201,6 +201,90 @@ class TestPackedBounds:
         with pytest.raises(ShapeError, match="bounds"):
             memory_block_backward(g, p, back, ahead, cfg, bounds=bounds)
 
+
+def loop_memory_block(p_seq, back_taps, ahead_taps, spec, skip_seq=None, bounds=None):
+    """The per-tap loops the signed-offset walk replaced: a back-tap and an
+    ahead-tap loop per segment."""
+    out = p_seq.copy()
+    if skip_seq is not None:
+        out += skip_seq
+    for a, b in bounds or [(0, p_seq.shape[0])]:
+        p, o, T = p_seq[a:b], out[a:b], b - a
+        for i in range(spec.n_back + 1):
+            k = i * spec.stride_back
+            if k == 0:
+                o += back_taps[i] * p
+            elif k < T:
+                o[k:] += back_taps[i] * p[:-k]
+        for j in range(1, spec.n_ahead + 1):
+            k = j * spec.stride_ahead
+            if k < T:
+                o[:-k] += ahead_taps[j - 1] * p[k:]
+    return out
+
+
+def loop_memory_block_backward(grad_ptilde, p_seq, back_taps, ahead_taps, spec,
+                               bounds=None):
+    """Backward of loop_memory_block, written out per tap kind."""
+    gp = grad_ptilde.copy()
+    d_back = np.zeros_like(back_taps)
+    d_ahead = np.zeros_like(ahead_taps)
+    for a, b in bounds or [(0, p_seq.shape[0])]:
+        g, p, gps, T = grad_ptilde[a:b], p_seq[a:b], gp[a:b], b - a
+        for i in range(spec.n_back + 1):
+            k = i * spec.stride_back
+            if k == 0:
+                gps += back_taps[i] * g
+                d_back[i] += (g * p).sum(axis=0)
+            elif k < T:
+                gps[:-k] += back_taps[i] * g[k:]
+                d_back[i] += (g[k:] * p[:-k]).sum(axis=0)
+        for j in range(1, spec.n_ahead + 1):
+            k = j * spec.stride_ahead
+            if k < T:
+                gps[k:] += ahead_taps[j - 1] * g[:-k]
+                d_ahead[j - 1] += (g[:-k] * p[k:]).sum(axis=0)
+    g_skip = grad_ptilde.copy() if spec.skip else None
+    return gp, d_back, d_ahead, g_skip
+
+
+class TestTapWalkMatchesLoops:
+    # segments up to 20 frames against a reach of up to 18 frames each way,
+    # so some segments are shorter than the reach and some taps fall off
+    @settings(max_examples=60, deadline=None)
+    @given(n_back=st.integers(0, 6), n_ahead=st.integers(0, 6),
+           stride_back=st.integers(1, 3), stride_ahead=st.integers(1, 3),
+           skip=st.booleans(), packed=st.booleans(),
+           lengths=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 10_000))
+    def test_bytes_equal_per_tap_loops(self, n_back, n_ahead, stride_back, stride_ahead,
+                                       skip, packed, lengths, dtype, seed):
+        spec = DfsmnLayerSpec(n_back=n_back, n_ahead=n_ahead, stride_back=stride_back,
+                              stride_ahead=stride_ahead, skip=skip)
+        ends = np.cumsum(lengths).tolist()
+        T, d = ends[-1], 3
+        bounds = list(zip([0] + ends[:-1], ends)) if packed else None
+        rng = Counter64(seed)
+
+        def arr(rows):
+            return rng.normal(rows * d).reshape(rows, d).astype(dtype)
+        p, g, back, ahead = arr(T), arr(T), arr(n_back + 1), arr(n_ahead)
+        skip_seq = arr(T) if skip else None
+
+        got = memory_block(p, back, ahead, spec, skip_seq, bounds=bounds)
+        want = loop_memory_block(p, back, ahead, spec, skip_seq, bounds=bounds)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        got = memory_block_backward(g, p, back, ahead, spec, bounds=bounds)
+        want = loop_memory_block_backward(g, p, back, ahead, spec, bounds=bounds)
+        for name, x, y in zip(("d p", "d back", "d ahead"), got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        if skip:
+            assert got[3].tobytes() == want[3].tobytes()
+        else:
+            assert got[3] is None and want[3] is None
+
 def layer_output(h_seq, weight, bias, activation):
     """The affine-plus-activation output transform, as fc_layer_forward computes it."""
     return fc_layer_forward(h_seq, weight, bias, activation)[0]

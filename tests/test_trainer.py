@@ -140,6 +140,13 @@ class TestLrScheduler:
         sched.step(1.0)
         assert sched.step(0.9999) == 0.1   # 0.01% is not enough
 
+    @pytest.mark.parametrize("knobs,message", [({"patience": 0}, "patience must be >= 1"),
+                                               ({"min_improvement": float("nan")},
+                                                "min_improvement must be finite")])
+    def test_rejects_bad_knobs_when_built(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            LrScheduler(lr=1.0, **knobs)
+
     def test_rejects_non_finite(self):
         sched = LrScheduler(lr=0.1)
         with pytest.raises(ValueError):
