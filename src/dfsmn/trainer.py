@@ -165,6 +165,8 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
     """
     if cfg.precision != "fp64":
         raise ValueError("gradient check needs an fp64 network config")
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
     for knob, value in (("step", step), ("tolerance", tolerance)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{knob} must be finite and > 0, got {value}")

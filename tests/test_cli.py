@@ -111,6 +111,15 @@ class TestGradcheck:
         assert captured.err.startswith(f"error: {knob} must be finite and > 0")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("frames", ["0", "-2"])
+    def test_bad_frames_exits_2(self, tmp_path, capsys, frames):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FP64_TANH_CONFIG))
+        assert main(["gradcheck", "--config", str(cfg), f"--frames={frames}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: frames must be >= 1, got {frames}")
+        assert captured.out == ""
+
 
 class TestSynthdata:
     def test_deterministic_bytes(self, tmp_path):

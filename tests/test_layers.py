@@ -1,15 +1,39 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import test_acceptance
+from dfsmn import layers
 from dfsmn.layers import (DfsmnLayerParams, dfsmn_layer_forward, fc_layer_backward,
                           fc_layer_forward, layer_backward, memory_block,
                           memory_block_backward, project)
-from dfsmn.network import DfsmnLayerSpec
+from dfsmn.network import DfsmnLayerSpec, NetworkConfig, StreamSpec
 from dfsmn.tensor import Counter64, ShapeError
+from dfsmn.trainer import grad_check
+
+# GEMM path against the per-tap loops: the taps are summed in another order,
+# so values agree to a tolerance fixed by the dtype (relative to the array's
+# largest magnitude).
+GEMM_RTOL = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
+
+
+@contextmanager
+def gemm_path(on: bool = True):
+    """Send every memory block, however few its taps, down the GEMM path."""
+    with pytest.MonkeyPatch.context() as mp:
+        if on:
+            mp.setattr(layers, "GEMM_MIN_TAPS", 0)
+        yield
+
+
+def assert_close(got, want, name=""):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-30)
+    assert np.max(np.abs(got - want), initial=0.0) <= GEMM_RTOL[want.dtype] * scale, name
 
 
 def col(values):
@@ -104,6 +128,17 @@ class TestMemoryBlock:
         with pytest.raises(ShapeError):
             memory_block(col([1, 2]), np.zeros((1, 1)), np.zeros((0, 1)),
                          DfsmnLayerSpec(skip=True), skip_seq=col([1, 2, 3]))
+
+    @pytest.mark.parametrize("wide", ["skip", "back", "ahead"])
+    def test_dtype_mismatch(self, wide):
+        # an fp64 operand on an fp32 sequence would be silently rounded
+        p = np.ones((3, 1), np.float32)
+        args = {"back": np.zeros((2, 1), np.float32), "ahead": np.zeros((1, 1), np.float32),
+                "skip": np.full((3, 1), 1e-9, np.float32)}
+        args[wide] = args[wide].astype(np.float64)
+        spec = DfsmnLayerSpec(n_back=1, n_ahead=1, skip=True)
+        with pytest.raises(ShapeError, match="float64 != projected dtype float32"):
+            memory_block(p, args["back"], args["ahead"], spec, args["skip"])
 
     def test_taps_beyond_sequence_vanish(self):
         # every shifted copy falls off the end: zero padding contributes nothing
@@ -249,17 +284,25 @@ def loop_memory_block_backward(grad_ptilde, p_seq, back_taps, ahead_taps, spec,
 
 
 class TestTapWalkMatchesLoops:
-    # segments up to 20 frames against a reach of up to 18 frames each way,
-    # so some segments are shorter than the reach and some taps fall off
-    @settings(max_examples=60, deadline=None)
-    @given(n_back=st.integers(0, 6), n_ahead=st.integers(0, 6),
+    # segments up to 40 frames against a reach of up to 36 frames each way,
+    # so some segments are shorter than the reach and some taps fall off;
+    # orders up to 12 put some specs on the GEMM path at the default
+    # GEMM_MIN_TAPS, and force_gemm sends the rest there too
+    @settings(max_examples=120, deadline=None)
+    @given(n_back=st.integers(0, 12), n_ahead=st.integers(0, 12),
            stride_back=st.integers(1, 3), stride_ahead=st.integers(1, 3),
-           skip=st.booleans(), packed=st.booleans(),
-           lengths=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+           skip=st.booleans(), packed=st.booleans(), force_gemm=st.booleans(),
+           lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
            dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 10_000))
-    def test_bytes_equal_per_tap_loops(self, n_back, n_ahead, stride_back, stride_ahead,
-                                       skip, packed, lengths, dtype, seed):
+    @example(n_back=12, n_ahead=6, stride_back=2, stride_ahead=2, skip=True,
+             packed=True, force_gemm=False, lengths=[1, 30, 7, 40], dtype=np.float32,
+             seed=1)
+    @example(n_back=3, n_ahead=2, stride_back=3, stride_ahead=2, skip=False,
+             packed=True, force_gemm=True, lengths=[5, 2, 33], dtype=np.float64, seed=2)
+    def test_matches_per_tap_loops(self, n_back, n_ahead, stride_back, stride_ahead,
+                                   skip, packed, force_gemm, lengths, dtype, seed):
+        """Bytes equal to the loops on the walk path, GEMM_RTOL on the GEMM path."""
         spec = DfsmnLayerSpec(n_back=n_back, n_ahead=n_ahead, stride_back=stride_back,
                               stride_ahead=stride_ahead, skip=skip)
         ends = np.cumsum(lengths).tolist()
@@ -272,18 +315,99 @@ class TestTapWalkMatchesLoops:
         p, g, back, ahead = arr(T), arr(T), arr(n_back + 1), arr(n_ahead)
         skip_seq = arr(T) if skip else None
 
-        got = memory_block(p, back, ahead, spec, skip_seq, bounds=bounds)
-        want = loop_memory_block(p, back, ahead, spec, skip_seq, bounds=bounds)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-        got = memory_block_backward(g, p, back, ahead, spec, bounds=bounds)
-        want = loop_memory_block_backward(g, p, back, ahead, spec, bounds=bounds)
-        for name, x, y in zip(("d p", "d back", "d ahead"), got, want):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        with gemm_path(force_gemm):
+            on_gemm = n_back + 1 + n_ahead >= layers.GEMM_MIN_TAPS
+            got = [memory_block(p, back, ahead, spec, skip_seq, bounds=bounds),
+                   *memory_block_backward(g, p, back, ahead, spec, bounds=bounds)]
+        want = [loop_memory_block(p, back, ahead, spec, skip_seq, bounds=bounds),
+                *loop_memory_block_backward(g, p, back, ahead, spec, bounds=bounds)]
+        for name, x, y in zip(("out", "d p", "d back", "d ahead"), got, want):
+            if on_gemm:
+                assert_close(x, y, name)
+            else:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
         if skip:
-            assert got[3].tobytes() == want[3].tobytes()
+            assert got[4].tobytes() == want[4].tobytes()
         else:
-            assert got[3] is None and want[3] is None
+            assert got[4] is None and want[4] is None
+
+
+class TestGemmPath:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec", [
+        DfsmnLayerSpec(n_back=2, n_ahead=2, stride_back=2, stride_ahead=1, skip=True),
+        DfsmnLayerSpec(n_back=20, n_ahead=4, stride_back=2, stride_ahead=2),
+        DfsmnLayerSpec(n_back=9, n_ahead=0, stride_back=3, stride_ahead=1, skip=True),
+    ], ids=["gcd1", "gcd2", "causal-gcd3"])
+    def test_packed_rows_equal_separate_calls(self, spec, dtype):
+        # segments shorter than the reach, one frame long, and spanning
+        # several GEMM blocks per phase
+        lengths = (6, 1, 3, 40, 2, 75)
+        ends = np.cumsum(lengths).tolist()
+        bounds = list(zip([0] + ends[:-1], ends))
+        rng = Counter64(31)
+
+        def arr(rows, d=4):
+            return rng.normal(rows * d).reshape(rows, d).astype(dtype)
+        T = ends[-1]
+        p, g = arr(T), arr(T)
+        skip = arr(T) if spec.skip else None
+        back, ahead = arr(spec.n_back + 1), arr(spec.n_ahead)
+        with gemm_path():
+            out = memory_block(p, back, ahead, spec, skip, bounds=bounds)
+            gp, d_back, d_ahead, _ = memory_block_backward(g, p, back, ahead, spec,
+                                                           bounds=bounds)
+            sum_back, sum_ahead = np.zeros_like(back), np.zeros_like(ahead)
+            for a, b in bounds:
+                alone = memory_block(p[a:b], back, ahead, spec,
+                                     None if skip is None else skip[a:b])
+                assert out[a:b].tobytes() == alone.tobytes()
+                gp_s, d_back_s, d_ahead_s, _ = memory_block_backward(
+                    g[a:b], p[a:b], back, ahead, spec)
+                assert gp[a:b].tobytes() == gp_s.tobytes()
+                sum_back += d_back_s
+                sum_ahead += d_ahead_s
+        # the tap gradients sum the segments in another order
+        assert_close(d_back, sum_back)
+        assert_close(d_ahead, sum_ahead)
+
+    def test_non_finite_frame_stays_in_its_segment(self):
+        # no block's input window reaches into another segment, where a zero
+        # coefficient times inf would still give nan
+        spec = DfsmnLayerSpec(n_back=12, n_ahead=12, stride_back=1, stride_ahead=1)
+        bounds = [(0, 17), (17, 20), (20, 45)]
+        rng = Counter64(32)
+        p = rng.normal(45 * 2).reshape(45, 2)
+        back, ahead = rng.normal(26).reshape(13, 2), rng.normal(24).reshape(12, 2)
+        p[18] = np.inf
+        with gemm_path(), np.errstate(invalid="ignore"):
+            out = memory_block(p, back, ahead, spec, bounds=bounds)
+            gp = memory_block_backward(p, p, back, ahead, spec, bounds=bounds)[0]
+        for x in (out, gp):
+            assert np.isfinite(x[:17]).all() and np.isfinite(x[20:]).all()
+
+    @pytest.mark.parametrize("check", [
+        test_acceptance.TestCriterion2ReceptiveField().test_empirical_horizon_matches_analytic,
+        test_acceptance.TestCriterion9Causality().test_fifty_random_unidirectional_configs,
+    ], ids=["criterion2-horizon", "criterion9-causality"])
+    def test_acceptance_checks(self, check):
+        with gemm_path():
+            check()
+
+    def test_grad_check_three_layers(self):
+        # 17 and 16 taps: the default GEMM_MIN_TAPS takes the GEMM path
+        specs = (DfsmnLayerSpec(hidden=5, proj=3, n_back=8, n_ahead=8, stride_back=1,
+                                stride_ahead=2, activation="tanh"),
+                 DfsmnLayerSpec(hidden=5, proj=3, n_back=10, n_ahead=5, stride_back=2,
+                                stride_ahead=2, skip=True, activation="tanh"),
+                 DfsmnLayerSpec(hidden=5, proj=3, n_back=8, n_ahead=8, stride_back=1,
+                                stride_ahead=1, skip=True, activation="sigmoid"))
+        assert all(s.n_back + 1 + s.n_ahead >= layers.GEMM_MIN_TAPS for s in specs)
+        cfg = NetworkConfig(input_dim=3, layers=specs,
+                            output_streams=(StreamSpec("y", 2),), precision="fp64")
+        rep = grad_check(cfg, frames=40, seed=4)
+        assert rep.passed, rep.lines()
+        assert {"back_taps", "ahead_taps", "input", "skip"} <= set(rep.max_rel_err)
 
 def layer_output(h_seq, weight, bias, activation):
     """The affine-plus-activation output transform, as fc_layer_forward computes it."""
