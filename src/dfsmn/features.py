@@ -108,13 +108,20 @@ def read_manifest(dirpath):
 def load_dataset(dirpath):
     """Load every sequence named by the manifest; target streams are inferred
     from the files present for each id."""
+    manifest = read_manifest(dirpath)
+    # "<id>.<stream>.feat" files, grouped under every manifest id that is a
+    # prefix ending at one of the name's dots; the directory is listed once
+    streams_of = {seq_id: [] for seq_id, _ in manifest}
+    for fn in os.listdir(dirpath):
+        if not fn.endswith(".feat"):
+            continue
+        for i, c in enumerate(fn[:-4]):
+            if c == "." and fn[:i] in streams_of:
+                streams_of[fn[:i]].append(fn[i + 1:-len(".feat")])
     dataset = []
-    for seq_id, frames in read_manifest(dirpath):
+    for seq_id, frames in manifest:
         prefix = f"{seq_id}."
-        streams = sorted(
-            fn[len(prefix):-len(".feat")]
-            for fn in os.listdir(dirpath)
-            if fn.startswith(prefix) and fn.endswith(".feat"))
+        streams = sorted(streams_of[seq_id])
         if INPUT_STREAM not in streams:
             raise FileNotFoundError(f"{dirpath}: sequence {seq_id} has no input file")
         in_name, inputs = read_feature(

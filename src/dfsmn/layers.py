@@ -31,6 +31,11 @@ The tap sum takes one of two paths, chosen by the spec's tap count alone:
 The two paths round differently (they agree to about 1e-6 relative in fp32);
 each is bit-exactly causal. A non-finite frame on the GEMM path also reaches the
 other rows of its blocks' windows (0 * inf is nan).
+
+Epilogues run in place: `affine` adds the bias to h @ W without a second
+array and `activate` overwrites its argument. A layer cache holds h, p,
+ptilde and out; backward reads each activation's derivative from out
+(`activate_grad`), so no pre-activation is kept.
 """
 
 from __future__ import annotations
@@ -64,28 +69,38 @@ GEMM_WINDOW_BYTES = 1 << 20
 
 
 def activate(name: str, pre: np.ndarray) -> np.ndarray:
+    """act(pre) in place: overwrites and returns pre, which callers pass fresh."""
     if name == "relu":
-        return np.maximum(pre, 0)
+        return np.maximum(pre, 0, out=pre)
     if name == "tanh":
-        return np.tanh(pre)
+        return np.tanh(pre, out=pre)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-pre))
+        np.exp(np.negative(pre, out=pre), out=pre)
+        pre += 1.0
+        return np.divide(1.0, pre, out=pre)
     if name == "linear":
         return pre
     raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
 
 
-def activate_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """d out / d pre, from the cached pre-activation and output."""
+def activate_grad(name: str, out: np.ndarray) -> np.ndarray:
+    """d out / d pre from the output alone (relu: out > 0 iff pre > 0, nan too)."""
     if name == "relu":
-        return (pre > 0).astype(pre.dtype)
+        return (out > 0).astype(out.dtype)
     if name == "tanh":
         return 1.0 - out * out
     if name == "sigmoid":
         return out * (1.0 - out)
     if name == "linear":
-        return np.ones_like(pre)
+        return np.ones_like(out)
     raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
+
+
+def affine(h_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """h_seq @ weight + bias in one allocation: the bias is added in place."""
+    out = h_seq @ weight
+    out += bias
+    return out
 
 
 @dataclass
@@ -112,7 +127,7 @@ def project(h_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarr
             f"projection input dim {h_seq.shape[1]} != weight rows {weight.shape[0]}")
     if bias.shape != (weight.shape[1],):
         raise ShapeError(f"bias shape {bias.shape} != ({weight.shape[1]},)")
-    return h_seq @ weight + bias
+    return affine(h_seq, weight, bias)
 
 
 def memory_block(p_seq: np.ndarray, back_taps: np.ndarray, ahead_taps: np.ndarray,
@@ -120,7 +135,11 @@ def memory_block(p_seq: np.ndarray, back_taps: np.ndarray, ahead_taps: np.ndarra
                  bounds=None) -> np.ndarray:
     """Weighted tap sum over past/future frames, zero padded at each bounds
     segment; spec gives the orders, strides and skip flag."""
-    _check_block_args(p_seq, back_taps, ahead_taps, spec, skip_seq)
+    if spec.skip and skip_seq is None:
+        raise ShapeError("skip enabled but no skip sequence given")
+    if not spec.skip and skip_seq is not None:
+        raise ShapeError("skip sequence given but skip flag is off")
+    _check_block_args(p_seq, back_taps, ahead_taps, spec, skip=skip_seq)
     offsets, segments = _tap_offsets(spec), _segments(bounds, p_seq.shape[0])
     if len(offsets) >= GEMM_MIN_TAPS:
         plan = _GemmPlan(offsets, segments)
@@ -140,6 +159,7 @@ def memory_block_backward(grad_ptilde: np.ndarray, p_seq: np.ndarray,
                           spec: DfsmnLayerSpec, bounds=None):
     """Gradients of the tap sum: returns (d p_seq, d back_taps, d ahead_taps,
     d skip); d skip is grad_ptilde itself, or None when spec has no skip."""
+    _check_block_args(p_seq, back_taps, ahead_taps, spec, grad_ptilde=grad_ptilde)
     offsets, segments = _tap_offsets(spec), _segments(bounds, p_seq.shape[0])
     g_skip = grad_ptilde if spec.skip else None
     if len(offsets) >= GEMM_MIN_TAPS:
@@ -292,7 +312,6 @@ class DfsmnLayerCache:
     h_seq: np.ndarray
     p_seq: np.ndarray
     ptilde_seq: np.ndarray
-    pre_seq: np.ndarray
     out_seq: np.ndarray
     params: DfsmnLayerParams
     spec: DfsmnLayerSpec
@@ -302,7 +321,6 @@ class DfsmnLayerCache:
 @dataclass
 class FcLayerCache:
     h_seq: np.ndarray
-    pre_seq: np.ndarray
     out_seq: np.ndarray
     weight: np.ndarray
     activation: str
@@ -319,10 +337,8 @@ def dfsmn_layer_forward(h_seq: np.ndarray, params: DfsmnLayerParams,
     p_seq = project(h_seq, params.proj_weight, params.proj_bias)
     ptilde = memory_block(p_seq, params.back_taps, params.ahead_taps, spec, skip_seq,
                           bounds=bounds)
-    pre = ptilde @ params.out_weight + params.out_bias
-    out = activate(spec.activation, pre)
-    cache = DfsmnLayerCache(h_seq, p_seq, ptilde, pre, out, params, spec, bounds)
-    return out, cache, ptilde
+    out = activate(spec.activation, affine(ptilde, params.out_weight, params.out_bias))
+    return out, DfsmnLayerCache(h_seq, p_seq, ptilde, out, params, spec, bounds), ptilde
 
 
 def fc_layer_forward(h_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -330,9 +346,8 @@ def fc_layer_forward(h_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     """Plain per-frame affine layer."""
     if h_seq.shape[1] != weight.shape[0]:
         raise ShapeError(f"fc input dim {h_seq.shape[1]} != weight rows {weight.shape[0]}")
-    pre = h_seq @ weight + bias
-    out = activate(activation, pre)
-    return out, FcLayerCache(h_seq, pre, out, weight, activation)
+    out = activate(activation, affine(h_seq, weight, bias))
+    return out, FcLayerCache(h_seq, out, weight, activation)
 
 
 def layer_backward(cache: DfsmnLayerCache, grad_out: np.ndarray,
@@ -348,7 +363,7 @@ def layer_backward(cache: DfsmnLayerCache, grad_out: np.ndarray,
         raise ShapeError(
             f"grad shape {grad_out.shape} != output shape {cache.out_seq.shape}")
     p = cache.params
-    dpre = grad_out * activate_grad(cache.spec.activation, cache.pre_seq, cache.out_seq)
+    dpre = grad_out * activate_grad(cache.spec.activation, cache.out_seq)
     d_out_weight = cache.ptilde_seq.T @ dpre
     d_out_bias = dpre.sum(axis=0)
     dptilde = dpre @ p.out_weight.T
@@ -369,14 +384,16 @@ def fc_layer_backward(cache: FcLayerCache, grad_out: np.ndarray):
     if grad_out.shape != cache.out_seq.shape:
         raise ShapeError(
             f"grad shape {grad_out.shape} != output shape {cache.out_seq.shape}")
-    dpre = grad_out * activate_grad(cache.activation, cache.pre_seq, cache.out_seq)
+    dpre = grad_out * activate_grad(cache.activation, cache.out_seq)
     d_weight = cache.h_seq.T @ dpre
     d_bias = dpre.sum(axis=0)
     grad_in = dpre @ cache.weight.T
     return grad_in, d_weight, d_bias
 
 
-def _check_block_args(p_seq, back_taps, ahead_taps, spec, skip_seq):
+def _check_block_args(p_seq, back_taps, ahead_taps, spec, **seqs):
+    """Tap shapes against spec and p_seq's width; the shape of each named
+    sequence (None skipped) and the dtype of every array against p_seq."""
     d_proj = p_seq.shape[1]
     if back_taps.shape != (spec.n_back + 1, d_proj):
         raise ShapeError(
@@ -384,14 +401,9 @@ def _check_block_args(p_seq, back_taps, ahead_taps, spec, skip_seq):
     if ahead_taps.shape != (spec.n_ahead, d_proj):
         raise ShapeError(
             f"ahead taps shape {ahead_taps.shape} != ({spec.n_ahead}, {d_proj})")
-    if spec.skip and skip_seq is None:
-        raise ShapeError("skip enabled but no skip sequence given")
-    if not spec.skip and skip_seq is not None:
-        raise ShapeError("skip sequence given but skip flag is off")
-    if skip_seq is not None and skip_seq.shape != p_seq.shape:
-        raise ShapeError(
-            f"skip shape {skip_seq.shape} != projected shape {p_seq.shape}")
-    for name, arr in (("back taps", back_taps), ("ahead taps", ahead_taps),
-                      ("skip", skip_seq)):
+    for name, arr in seqs.items():
+        if arr is not None and arr.shape != p_seq.shape:
+            raise ShapeError(f"{name} shape {arr.shape} != projected shape {p_seq.shape}")
+    for name, arr in (("back taps", back_taps), ("ahead taps", ahead_taps), *seqs.items()):
         if arr is not None and arr.dtype != p_seq.dtype:
             raise ShapeError(f"{name} dtype {arr.dtype} != projected dtype {p_seq.dtype}")

@@ -418,7 +418,6 @@ class NetworkCache:
     cfg: NetworkConfig
     layer_caches: list
     top_hidden: np.ndarray
-    head_pre: dict
     head_out: dict
     params: NetworkParams
 
@@ -441,14 +440,11 @@ def forward(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds=None) -
             h, cache = L.fc_layer_forward(h, p.weight, p.bias, spec.activation)
             prev_ptilde = None
         caches.append(cache)
-    head_pre = {}
     head_out = {}
     for s in cfg.output_streams:
         hp = params.heads[s.name]
-        pre = h @ hp.weight + hp.bias
-        head_pre[s.name] = pre
-        head_out[s.name] = L.activate(s.activation, pre)
-    return head_out, NetworkCache(cfg, caches, h, head_pre, head_out, params)
+        head_out[s.name] = L.activate(s.activation, L.affine(h, hp.weight, hp.bias))
+    return head_out, NetworkCache(cfg, caches, h, head_out, params)
 
 
 def backward(cache: NetworkCache, grad_streams: dict,
@@ -468,11 +464,10 @@ def backward(cache: NetworkCache, grad_streams: dict,
     grad_top = np.zeros_like(cache.top_hidden)
     for s in cfg.output_streams:
         g = grad_streams[s.name]
-        pre = cache.head_pre[s.name]
         out = cache.head_out[s.name]
         if g.shape != out.shape:
             raise ShapeError(f"stream {s.name!r}: grad shape {g.shape} != {out.shape}")
-        dpre = g * L.activate_grad(s.activation, pre, out)
+        dpre = g * L.activate_grad(s.activation, out)
         hp = cache.params.heads[s.name]
         grads.heads[s.name] = Affine(cache.top_hidden.T @ dpre, dpre.sum(axis=0))
         grad_top += dpre @ hp.weight.T

@@ -140,6 +140,27 @@ class TestMemoryBlock:
         with pytest.raises(ShapeError, match="float64 != projected dtype float32"):
             memory_block(p, args["back"], args["ahead"], spec, args["skip"])
 
+    @pytest.mark.parametrize("order,stride", [(1, 1), (10, 2)])  # walk, GEMM path
+    @pytest.mark.parametrize("name,damage,match", [
+        ("grad", lambda a: a[1:], r"grad_ptilde shape \(29, 2\) != projected shape \(30, 2\)"),
+        ("grad", lambda a: np.ones((30, 3), a.dtype), r"grad_ptilde shape \(30, 3\)"),
+        ("grad", lambda a: a.astype(np.float64), "grad_ptilde dtype float64 != projected"),
+        ("back", lambda a: a[1:], "back taps shape"),
+        ("ahead", lambda a: a.astype(np.float64), "ahead taps dtype float64 != projected"),
+    ], ids=["grad-rows", "grad-width", "grad-dtype", "back-shape", "ahead-dtype"])
+    def test_backward_checks_args(self, order, stride, name, damage, match):
+        spec = DfsmnLayerSpec(n_back=order, n_ahead=order, stride_back=stride,
+                              stride_ahead=stride)
+        assert (len(layers._tap_offsets(spec)) >= layers.GEMM_MIN_TAPS) == (order == 10)
+        p = np.ones((30, 2), np.float32)
+        args = {"grad": np.ones_like(p), "back": np.zeros((order + 1, 2), np.float32),
+                "ahead": np.zeros((order, 2), np.float32)}
+        gp, *_ = memory_block_backward(args["grad"], p, args["back"], args["ahead"], spec)
+        assert gp.dtype == p.dtype
+        args[name] = damage(args[name])
+        with pytest.raises(ShapeError, match=match):
+            memory_block_backward(args["grad"], p, args["back"], args["ahead"], spec)
+
     def test_taps_beyond_sequence_vanish(self):
         # every shifted copy falls off the end: zero padding contributes nothing
         cfg = DfsmnLayerSpec(n_back=3, stride_back=5)
@@ -439,6 +460,35 @@ class TestLayerOutput:
             layer_output(np.zeros((1, 2)), np.eye(2), np.zeros(2), "gelu")
 
 
+# signed zeros, tiny and large magnitudes, infinities and nan, then normals
+EDGE_PRE = np.vstack([[0.0, -0.0, -1.5, -1e-30, 2.5, 1e-30, 40.0, -np.inf, np.inf, np.nan],
+                      4.0 * Counter64(5).normal(10)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", layers.ACTIVATIONS)
+class TestActivation:
+    def test_in_place_bytes_equal_expressions(self, name, dtype):
+        pre = EDGE_PRE.astype(dtype)
+        with np.errstate(all="ignore"):
+            want = {"relu": np.maximum(pre, 0), "tanh": np.tanh(pre),
+                    "sigmoid": 1.0 / (1.0 + np.exp(-pre)), "linear": pre.copy()}[name]
+            buf = pre.copy()
+            got = layers.activate(name, buf)
+        assert got is buf
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_grad_from_output_equals_pre_formula(self, name, dtype):
+        # what the derivative was computed as while pre-activations were cached
+        pre = EDGE_PRE.astype(dtype)
+        with np.errstate(all="ignore"):
+            out = layers.activate(name, pre.copy())
+            want = {"relu": (pre > 0).astype(dtype), "tanh": 1.0 - out * out,
+                    "sigmoid": out * (1.0 - out), "linear": np.ones_like(pre)}[name]
+            got = layers.activate_grad(name, out)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestDfsmnLayerForward:
     def test_memoryless_identity_is_affine(self):
         params = DfsmnLayerParams(np.eye(3), np.zeros(3), np.zeros((1, 3)),
@@ -659,7 +709,8 @@ class TestTemporalProperties:
 
     def test_preactivation_skip_additivity(self):
         # for nonlinear activations the skip contribution is additive before
-        # the nonlinearity: pre_skip = pre_noskip + skip @ out_weight
+        # the nonlinearity: pre_skip = pre_noskip + skip @ out_weight, each
+        # pre-activation rebuilt from the cached memory-block sum
         rng = Counter64(17)
         params = random_layer(rng, 3, 2, 3, 1, 1)
         cfg_skip = DfsmnLayerSpec(n_back=1, n_ahead=1, skip=True, activation="relu")
@@ -668,8 +719,12 @@ class TestTemporalProperties:
         skip = rng.normal(10).reshape(5, 2)
         _, cache_s, _ = dfsmn_layer_forward(x, params, cfg_skip, skip)
         _, cache_p, _ = dfsmn_layer_forward(x, params, cfg_plain)
-        want = cache_p.pre_seq + skip @ params.out_weight
-        assert np.max(np.abs(cache_s.pre_seq - want)) < 1e-12
+
+        def pre(cache):
+            return cache.ptilde_seq @ params.out_weight + params.out_bias
+
+        want = pre(cache_p) + skip @ params.out_weight
+        assert np.max(np.abs(pre(cache_s) - want)) < 1e-12
 
     def test_linear_skip_full_additivity(self):
         rng = Counter64(18)

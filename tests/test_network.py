@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 from dfsmn import layers as L
 from dfsmn import network as net
-from dfsmn.features import read_feature, write_feature
+from dfsmn import features
+from dfsmn.features import (SequenceData, load_dataset, read_feature, write_dataset,
+                            write_feature)
 from dfsmn.model_io import (MAGIC, VERSION, BadMagicError, ModelFileError,
                             TruncatedFileError, VersionMismatchError, load_model,
                             save_model)
@@ -462,6 +466,94 @@ class TestBackward:
                 worst = max(worst, abs(g_arr.flat[i] - numeric)
                             / max(abs(g_arr.flat[i]), abs(numeric), 1e-12))
         assert worst < 1e-4
+
+
+ACTS = L.ACTIVATIONS
+
+
+def epilogue_net(precision):
+    """Every activation in a memory-block layer, an fc layer and a head, with
+    memory blocks on both the walk (3 and 3 taps) and GEMM (21 and 17 taps)
+    paths; every tensor, taps and biases included, drawn nonzero."""
+    mb = dict(hidden=6, proj=4)
+    layers = (
+        DfsmnLayerSpec(**mb, n_back=1, n_ahead=1, activation="relu"),
+        DfsmnLayerSpec(**mb, n_back=10, n_ahead=10, stride_back=2, stride_ahead=2,
+                       skip=True, activation="tanh"),
+        DfsmnLayerSpec(**mb, n_back=2, skip=True, activation="sigmoid"),
+        DfsmnLayerSpec(**mb, n_back=8, n_ahead=8, skip=True, activation="linear"),
+    ) + tuple(FcLayerSpec(5, a) for a in ACTS)
+    cfg = NetworkConfig(input_dim=3, layers=layers,
+                        output_streams=tuple(StreamSpec(a, 2, a) for a in ACTS),
+                        precision=precision)
+    params = build_network(cfg, 21)
+    rng = Counter64(22)
+    for _, _, arr in iter_tensors(cfg, params):
+        arr[...] = 0.5 * rng.normal(arr.size).reshape(arr.shape)
+    return cfg, params, rng
+
+
+class TestEpilogue:
+    """Affine epilogues add the bias and apply the activation in place, and
+    backward reads each derivative from the cached output."""
+
+    @pytest.mark.parametrize("precision,bounds,digest", [
+        ("fp32", None, "2ff53938fc1dae0fb5f963926f48a95bae55f26735fdb764b45916863164261b"),
+        ("fp32", [(0, 13), (13, 31), (31, 40)],
+         "c71295e3df92528fa369d1a62d4088e8aae9f66a53134f7d15a61bfd0edf8f58"),
+        ("fp64", None, "47ce5bf094397f82f479999030bfb5463862ede6f1b88baf1a7ab52281ee88a0"),
+        ("fp64", [(0, 13), (13, 31), (31, 40)],
+         "0b9371641d3c50c6d913ddddba15a3b83026cb0646cdc6c8132358c8464bc5a1"),
+    ])
+    def test_outputs_and_gradients_pinned(self, precision, bounds, digest):
+        # recorded while every epilogue still allocated h @ W, + b and the
+        # activation separately and backward read cached pre-activations;
+        # a BLAS build that rounds its products differently changes them too
+        cfg, params, rng = epilogue_net(precision)
+        x = rng.normal(120).reshape(40, 3)
+        outs, cache = net.forward(params, cfg, x, bounds=bounds)
+        grads, grad_x = net.backward(
+            cache, {a: rng.normal(80).reshape(40, 2).astype(cfg.dtype()) for a in ACTS},
+            want_input_grad=True)
+        h = hashlib.sha256()
+        for a in ACTS:
+            h.update(outs[a].tobytes())
+        for _, _, arr in iter_tensors(cfg, grads):
+            h.update(arr.tobytes())
+        h.update(grad_x.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_caches_hold_no_preactivation(self):
+        cfg, params, rng = epilogue_net("fp32")
+        outs, cache = net.forward(params, cfg, rng.normal(30).reshape(10, 3))
+        assert [f.name for f in fields(cache)] == [
+            "cfg", "layer_caches", "top_hidden", "head_out", "params"]
+        assert all(cache.head_out[a] is outs[a] for a in ACTS)
+        for spec, lc in zip(cfg.layers, cache.layer_caches):
+            arrays = {f.name for f in fields(lc)
+                      if isinstance(getattr(lc, f.name), np.ndarray)}
+            assert arrays == ({"h_seq", "p_seq", "ptilde_seq", "out_seq"}
+                              if isinstance(spec, DfsmnLayerSpec)
+                              else {"h_seq", "out_seq", "weight"})
+
+
+class TestDataset:
+    def test_directory_listed_once(self, tmp_path, monkeypatch):
+        rng = Counter64(4)
+        data = [SequenceData(seq_id, rng.normal(3 * n).reshape(n, 3).astype(np.float32),
+                             {"y": rng.normal(n).reshape(n, 1).astype(np.float32)})
+                for seq_id, n in [("s0", 4), ("s1.x", 2), ("s2", 5), ("s3", 3)]]
+        write_dataset(tmp_path, data)
+        listed = []
+        real = os.listdir
+        monkeypatch.setattr(features.os, "listdir", lambda d: listed.append(d) or real(d))
+        got = load_dataset(tmp_path)
+        assert listed == [tmp_path]
+        assert [s.seq_id for s in got] == [s.seq_id for s in data]
+        for g, w in zip(got, data):
+            assert np.array_equal(g.inputs, w.inputs)
+            assert list(g.targets) == ["y"]
+            assert np.array_equal(g.targets["y"], w.targets["y"])
 
 
 class TestModelFile:
