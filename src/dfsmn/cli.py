@@ -113,16 +113,9 @@ def _pooled_streams(dataset) -> dict:
 
 def cmd_eval(args) -> int:
     if args.hyp:
-        if not (args.ref or args.data):
-            print("error: direct comparison needs --ref (or --data)", file=sys.stderr)
-            return 2
-        ref = _pooled_streams(load_dataset(args.ref or args.data))
+        ref = _pooled_streams(load_dataset(args.data))
         hyp = _pooled_streams(load_dataset(args.hyp))
     else:
-        if not (args.model and args.data):
-            print("error: eval needs --model and --data (or --hyp for direct "
-                  "comparison)", file=sys.stderr)
-            return 2
         params, cfg = load_model(args.model)
         dataset = load_dataset(args.data)
         ref = _pooled_streams(dataset)
@@ -215,10 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="objective measures of a model on a dataset")
-    p.add_argument("--model", help="model file")
-    p.add_argument("--data", help="reference dataset directory")
-    p.add_argument("--ref", help="reference dataset (direct comparison mode)")
-    p.add_argument("--hyp", help="hypothesis dataset (direct comparison mode)")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--model", help="model file")
+    g.add_argument("--hyp", help="hypothesis dataset (direct comparison mode)")
+    p.add_argument("--data", required=True, help="reference dataset directory")
     p.set_defaults(func=cmd_eval)
 
     return parser
@@ -232,8 +225,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, ModelFileError, FileNotFoundError,
-            NotADirectoryError, KeyError, ValueError) as e:
+    except (ConfigError, ShapeError, ModelFileError, OSError, KeyError,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:

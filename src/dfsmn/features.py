@@ -109,15 +109,21 @@ def load_dataset(dirpath):
     """Load every sequence named by the manifest; target streams are inferred
     from the files present for each id."""
     manifest = read_manifest(dirpath)
-    # "<id>.<stream>.feat" files, grouped under every manifest id that is a
-    # prefix ending at one of the name's dots; the directory is listed once
+    if not manifest:
+        raise ValueError(f"{dirpath}: manifest lists no sequences")
+    # "<id>.<stream>.feat" files, each filed under the longest manifest id
+    # that is a prefix of it ending at one of its dots; names with an empty
+    # stream part are skipped. The directory is listed once.
     streams_of = {seq_id: [] for seq_id, _ in manifest}
     for fn in os.listdir(dirpath):
         if not fn.endswith(".feat"):
             continue
-        for i, c in enumerate(fn[:-4]):
-            if c == "." and fn[:i] in streams_of:
-                streams_of[fn[:i]].append(fn[i + 1:-len(".feat")])
+        stem = fn[:-len(".feat")]
+        for i in range(len(stem) - 1, -1, -1):
+            if stem[i] == "." and stem[:i] in streams_of:
+                if stem[i + 1:]:
+                    streams_of[stem[:i]].append(stem[i + 1:])
+                break
     dataset = []
     for seq_id, frames in manifest:
         prefix = f"{seq_id}."

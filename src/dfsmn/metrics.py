@@ -38,11 +38,10 @@ def f0_rmse(ref_f0_hz, hyp_lf0, ref_uv, hyp_uv) -> float:
     return float(np.sqrt(np.mean(err * err)))
 
 
-def uv_error(ref_uv, hyp_uv_prob, threshold: float = 0.5) -> float:
-    """Fraction of frames whose thresholded voicing decision disagrees."""
-    prob = np.asarray(hyp_uv_prob, dtype=np.float64).reshape(-1)
-    ref = _voiced_mask(ref_uv, prob.shape[0])
-    return float(np.mean((prob >= threshold) != ref))
+def uv_error(ref_uv, hyp_uv_prob) -> float:
+    """Fraction of frames whose voicing decision disagrees."""
+    n = np.size(hyp_uv_prob)
+    return float(np.mean(_voiced_mask(hyp_uv_prob, n) != _voiced_mask(ref_uv, n)))
 
 
 def bapd(ref_bap, hyp_bap) -> float:

@@ -447,13 +447,12 @@ def forward(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds=None) -
     return head_out, NetworkCache(cfg, caches, h, head_out, params)
 
 
-def backward(cache: NetworkCache, grad_streams: dict,
-             want_input_grad: bool = False):
+def backward(cache: NetworkCache, grad_streams: dict) -> tuple:
     """Back-propagate per-stream output gradients to every parameter.
 
     Stream gradients join at the shared trunk; skip-path gradients are routed
-    back to the producing layer's memory-block sum. Returns parameter grads
-    shaped like NetworkParams, plus the input gradient when requested.
+    back to the producing layer's memory-block sum. Returns (parameter grads
+    shaped like NetworkParams, gradient of the network input).
     """
     cfg = cache.cfg
     names = {s.name for s in cfg.output_streams}
@@ -488,6 +487,4 @@ def backward(cache: NetworkCache, grad_streams: dict,
             layer_grads[li] = Affine(dw, db)
             pending_skip = None
     grads.layers = layer_grads
-    if want_input_grad:
-        return grads, grad_h
-    return grads
+    return grads, grad_h

@@ -127,15 +127,12 @@ class Counter64:
             items[i], items[j] = items[j], items[i]
 
 
-def seeded_normal(seed: int, rows: int, cols: int, mean: float = 0.0,
-                  stddev: float = 1.0, dtype=np.float64) -> np.ndarray:
-    """Reproducible rows x cols normal draw; identical seed, identical bits."""
+def seeded_normal(seed: int, rows: int, cols: int, stddev: float = 1.0,
+                  dtype=np.float64) -> np.ndarray:
+    """Reproducible rows x cols zero-mean normal draw; same seed, same bits."""
     if rows < 1 or cols < 1:
         raise ShapeError(f"matrix dims must be positive, got {rows}x{cols}")
     if stddev < 0:
         raise ValueError(f"stddev must be >= 0, got {stddev}")
-    if stddev == 0.0:
-        return np.full((rows, cols), mean, dtype=dtype)
-    rng = Counter64(seed)
-    out = mean + stddev * rng.normal(rows * cols)
+    out = stddev * Counter64(seed).normal(rows * cols)
     return out.reshape(rows, cols).astype(dtype)

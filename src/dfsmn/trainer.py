@@ -25,6 +25,7 @@ ECHO_STREAM = "echo"
 TOY_STREAMS = ("mcep", "lf0", "bap", "uv")
 DECAY_FACTOR = 0.1  # lr multiplier on stalled validation
 EVAL_FRAMES = 512   # frames per packed forward in predict, as batch_frames' default
+GRADCHECK_SAMPLES = 20  # scalars probed per parameter class by grad_check
 
 
 @dataclass
@@ -39,7 +40,6 @@ class TrainConfig:
     min_improvement: float = 0.005
     max_epochs: int = 10
     seed: int = 0
-    stream_weights: Optional[dict] = None
 
     def __post_init__(self):
         # lr == 0 is tolerated: a no-op run is a useful determinism probe
@@ -51,15 +51,14 @@ class TrainConfig:
             raise ValueError(f"batch_frames must be >= 1, got {self.batch_frames}")
 
 
-def multitask_mse(pred_streams: dict, target_streams: dict, weights=None):
-    """Weighted sum of per-stream MSEs and its exact gradient.
+def multitask_mse(pred_streams: dict, target_streams: dict):
+    """Sum of per-stream MSEs and its exact gradient.
 
-    loss = sum_s w_s * mean((pred_s - target_s)^2); grads have pred shapes.
+    loss = sum_s mean((pred_s - target_s)^2); grads have pred shapes.
     """
     if set(pred_streams) != set(target_streams):
         raise KeyError(f"stream names differ: {sorted(pred_streams)} vs "
                        f"{sorted(target_streams)}")
-    weights = weights or {}
     loss = 0.0
     grads = {}
     for name in pred_streams:
@@ -67,10 +66,9 @@ def multitask_mse(pred_streams: dict, target_streams: dict, weights=None):
         target = target_streams[name]
         if pred.shape != target.shape:
             raise ShapeError(f"stream {name!r}: pred {pred.shape} vs target {target.shape}")
-        w = weights.get(name, 1.0)
         diff = pred - target
-        loss += w * float(np.mean(diff * diff))
-        grads[name] = (2.0 * w / diff.size) * diff
+        loss += float(np.mean(diff * diff))
+        grads[name] = (2.0 / diff.size) * diff
     return loss, grads
 
 
@@ -94,8 +92,8 @@ class LrScheduler:
     lr: float
     patience: int = 1
     min_improvement: float = 0.005
-    best: Optional[float] = None
-    streak: int = 0
+    best: Optional[float] = field(init=False, default=None)
+    streak: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.patience < 1:
@@ -132,11 +130,11 @@ class LrScheduler:
 class GradCheckReport:
     tolerance: float
     step: float
-    max_rel_err: dict = field(default_factory=dict)   # class -> worst error
-    checked: dict = field(default_factory=dict)       # class -> scalars probed
-    passed: bool = False
-    worst_class: str = ""
-    worst_err: float = 0.0
+    max_rel_err: dict = field(init=False, default_factory=dict)  # class -> worst error
+    checked: dict = field(init=False, default_factory=dict)      # class -> scalars probed
+    passed: bool = field(init=False, default=False)
+    worst_class: str = field(init=False, default="")
+    worst_err: float = field(init=False, default=0.0)
 
     def lines(self):
         out = []
@@ -155,13 +153,13 @@ def _rel_err(a: float, n: float) -> float:
 
 
 def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
-               tolerance: float = 1e-4, samples_per_class: int = 20) -> GradCheckReport:
+               tolerance: float = 1e-4) -> GradCheckReport:
     """Central finite differences against the analytic backward pass.
 
     Requires an fp64 config. Memory taps are re-drawn from a small normal
     before checking (fresh networks zero them, which would leave tap paths
-    untested). Checks a random subsample per parameter class plus the network
-    input, and the skip input of the first skip-connected layer in isolation.
+    untested). Checks GRADCHECK_SAMPLES random scalars per parameter class, of
+    the network input, and of the first skip-connected layer's skip input.
     """
     if cfg.precision != "fp64":
         raise ValueError("gradient check needs an fp64 network config")
@@ -191,7 +189,7 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
 
     outs, cache = net.forward(params, cfg, x)
     _, grad_streams = multitask_mse(outs, targets)
-    grads, grad_in = net.backward(cache, grad_streams, want_input_grad=True)
+    grads, grad_in = net.backward(cache, grad_streams)
 
     by_class: dict = {}
     for (_, _, p_arr), (cls, _, g_arr) in zip(net.iter_tensors(cfg, params),
@@ -202,13 +200,13 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
     rng = Counter64(derive_seed(seed, 7300))
     for cls, pairs in by_class.items():
         starts = list(accumulate((arr.size for arr, _ in pairs), initial=0))
-        for ci in _sample(rng, starts[-1], samples_per_class):
+        for ci in _sample(rng, starts[-1], GRADCHECK_SAMPLES):
             k = bisect_right(starts, ci) - 1  # the last tensor starting at or before ci
             arr, g = pairs[k]
             _probe(report, cls, loss_value, arr, g, ci - starts[k])
-    for i in _sample(rng, x.size, samples_per_class):
+    for i in _sample(rng, x.size, GRADCHECK_SAMPLES):
         _probe(report, "input", loss_value, x, grad_in, i)
-    _check_skip_gradient(cfg, cache, report, rng, samples_per_class)
+    _check_skip_gradient(cfg, cache, report, rng)
 
     report.worst_class, report.worst_err = max(
         report.max_rel_err.items(), key=lambda kv: kv[1])
@@ -237,7 +235,7 @@ def _probe(report: GradCheckReport, cls: str, loss, arr, analytic, idx) -> None:
     report.checked[cls] = report.checked.get(cls, 0) + 1
 
 
-def _check_skip_gradient(cfg, cache, report, rng, samples_per_class):
+def _check_skip_gradient(cfg, cache, report, rng):
     """Isolated-layer check of d(output)/d(skip input) for the first layer
     with a skip connection; the skip input is free only at layer level."""
     skip_idx = next((li for li, s in enumerate(cfg.layers)
@@ -256,7 +254,7 @@ def _check_skip_gradient(cfg, cache, report, rng, samples_per_class):
 
     out, c2, _ = dfsmn_layer_forward(h_in, p, spec, skip)
     _, g_skip, _ = layer_backward(c2, out)
-    for i in _sample(rng, skip.size, samples_per_class):
+    for i in _sample(rng, skip.size, GRADCHECK_SAMPLES):
         _probe(report, "skip", local_loss, skip, g_skip, i)
 
 
@@ -403,9 +401,9 @@ def predict(params, cfg, dataset) -> dict:
             for s in cfg.output_streams}
 
 
-def evaluate_mse(params, cfg, dataset, weights=None) -> float:
+def evaluate_mse(params, cfg, dataset) -> float:
     """Frame-weighted multi-task MSE over a dataset."""
-    loss, _ = multitask_mse(predict(params, cfg, dataset), _targets(dataset, cfg), weights)
+    loss, _ = multitask_mse(predict(params, cfg, dataset), _targets(dataset, cfg))
     return loss
 
 
@@ -454,7 +452,6 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
     check_dataset(cfg, dataset)
     valid_set = valid if valid else dataset
     check_dataset(cfg, valid_set)
-    weights = train_cfg.stream_weights
     history = []
     for epoch in range(train_cfg.max_epochs):
         order = list(range(len(dataset)))
@@ -467,17 +464,19 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
             batch_loss = 0.0
             for seq, (a, b) in zip(batch, bounds):
                 loss, _ = multitask_mse({n: o[a:b] for n, o in outs.items()},
-                                        {n: t[a:b] for n, t in targets.items()}, weights)
+                                        {n: t[a:b] for n, t in targets.items()})
                 if not math.isfinite(loss):
                     raise RuntimeError(
                         f"non-finite loss at epoch {epoch} batch {bi} "
                         f"(sequence {seq.seq_id})")
                 batch_loss += (b - a) / total_frames * loss
-            _, grad_streams = multitask_mse(outs, targets, weights)
-            sgd_step(cfg, params, net.backward(cache, grad_streams), sched.lr)
+            _, grad_streams = multitask_mse(outs, targets)
+            # a temporary: a name bound to the gradients would keep a second
+            # parameter-sized set alive through the next batch
+            sgd_step(cfg, params, net.backward(cache, grad_streams)[0], sched.lr)
             epoch_loss += total_frames * batch_loss
         train_mse = epoch_loss / sum(seq.frames for seq in dataset)
-        valid_mse = evaluate_mse(params, cfg, valid_set, weights)
+        valid_mse = evaluate_mse(params, cfg, valid_set)
         history.append(EpochStats(epoch, sched.lr, train_mse, valid_mse))
         sched.step(valid_mse)
     return params, history

@@ -1,11 +1,12 @@
 import json
 import os
+import shlex
 import struct
 
 import numpy as np
 import pytest
 
-from dfsmn.cli import main
+from dfsmn.cli import build_parser, main
 from dfsmn.features import read_feature, read_manifest
 from dfsmn.model_io import MAGIC, VERSION, save_model
 from dfsmn.network import build_network, config_to_json, expand_shorthand, parse_config
@@ -273,7 +274,7 @@ class TestTrainEval:
         assert main(["synthdata", "--task", "acoustic_toy", "--dim", "4",
                      "--sequences", "3", "--len", "10", "--out", str(data)]) == 0
         capsys.readouterr()
-        assert main(["eval", "--ref", str(data / "train"),
+        assert main(["eval", "--data", str(data / "train"),
                      "--hyp", str(data / "train")]) == 0
         out = capsys.readouterr().out
         assert "total_mse 0" in out
@@ -293,6 +294,60 @@ class TestTrainEval:
         capsys.readouterr()
         assert main(["eval", "--model", str(model)]) == 2
         assert "--data" in capsys.readouterr().err
+
+    def test_eval_model_and_hyp_together_exits_2(self, tmp_path, echo_data, capsys):
+        cfg = parse_config(json.dumps(ECHO_TRAIN_CONFIG))
+        model = tmp_path / "m.dfsmn"
+        save_model(build_network(cfg, 0), cfg, str(model))
+        valid = str(echo_data / "valid")
+        assert main(["eval", "--model", str(model), "--data", valid,
+                     "--hyp", valid]) == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_eval_ref_flag_is_gone(self, echo_data, capsys):
+        valid = str(echo_data / "valid")
+        assert main(["eval", "--ref", valid, "--hyp", valid]) == 2
+        assert main(["eval", "--ref", valid, "--data", valid, "--hyp", valid]) == 2
+        assert "unrecognized arguments: --ref" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["model", "hyp"])
+    def test_eval_empty_manifest_exits_2(self, tmp_path, echo_data, capsys, mode):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "manifest.txt").write_text("")
+        if mode == "model":
+            cfg = parse_config(json.dumps(ECHO_TRAIN_CONFIG))
+            model = tmp_path / "m.dfsmn"
+            save_model(build_network(cfg, 0), cfg, str(model))
+            argv = ["eval", "--model", str(model), "--data", str(empty)]
+        else:
+            argv = ["eval", "--data", str(echo_data / "valid"), "--hyp", str(empty)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {empty}: manifest lists no sequences\n"
+        assert captured.out == ""
+
+    def test_train_empty_valid_exits_2(self, tmp_path, echo_data, capsys):
+        (echo_data / "valid" / "manifest.txt").write_text("")
+        model = tmp_path / "m.dfsmn"
+        assert main(["train", "--config", str(self._write_cfg(tmp_path)),
+                     "--data", str(echo_data), "--out", str(model)]) == 2
+        assert "manifest lists no sequences" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "train", "eval"])
+    def test_directory_in_place_of_a_file_exits_2(self, tmp_path, echo_data, capsys,
+                                                  command):
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        argv = {"analyze": ["analyze", "--preset", "A", "--out", str(a_dir)],
+                "train": ["train", "--config", str(self._write_cfg(tmp_path)),
+                          "--data", str(echo_data), "--out", str(a_dir),
+                          "--epochs", "1"],
+                "eval": ["eval", "--model", str(a_dir),
+                         "--data", str(echo_data / "valid")]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno")
 
     @pytest.mark.slow
     def test_echo_lag8_learned_end_to_end(self, tmp_path, capsys):
@@ -320,6 +375,17 @@ class TestTrainEval:
 
 
 class TestUsage:
+    def test_readme_cli_examples_parse(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path) as f:
+            section = f.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        lines = [ln for ln in section.splitlines() if ln.startswith("dfsmn ")]
+        assert len(lines) >= 6
+        parser = build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+            assert args.command == line.split()[1]
+
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
 

@@ -411,7 +411,7 @@ class TestBackward:
     def test_zero_stream_grads_give_zero_param_grads(self):
         cfg, params, x = self._setup()
         _, cache = net.forward(params, cfg, x)
-        grads = net.backward(cache, {"y": np.zeros((6, 2)), "v": np.zeros((6, 1))})
+        grads, _ = net.backward(cache, {"y": np.zeros((6, 2)), "v": np.zeros((6, 1))})
         for _, _, arr in iter_tensors(cfg, grads):
             assert not arr.any()
 
@@ -427,9 +427,9 @@ class TestBackward:
         rng = Counter64(8)
         gy = rng.normal(12).reshape(6, 2)
         gv = rng.normal(6).reshape(6, 1)
-        both = net.backward(cache, {"y": gy, "v": gv})
-        only_y = net.backward(cache, {"y": gy, "v": np.zeros_like(gv)})
-        only_v = net.backward(cache, {"y": np.zeros_like(gy), "v": gv})
+        both, _ = net.backward(cache, {"y": gy, "v": gv})
+        only_y, _ = net.backward(cache, {"y": gy, "v": np.zeros_like(gv)})
+        only_v, _ = net.backward(cache, {"y": np.zeros_like(gy), "v": gv})
         for (_, _, b), (_, _, a1), (_, _, a2) in zip(
                 iter_tensors(cfg, both), iter_tensors(cfg, only_y),
                 iter_tensors(cfg, only_v)):
@@ -450,7 +450,7 @@ class TestBackward:
 
         outs, cache = net.forward(params, cfg, x)
         _, gstreams = multitask_mse(outs, targets)
-        grads = net.backward(cache, gstreams)
+        grads, _ = net.backward(cache, gstreams)
         step = 1e-5
         worst = 0.0
         for (_, _, p_arr), (_, _, g_arr) in zip(iter_tensors(cfg, params),
@@ -466,6 +466,34 @@ class TestBackward:
                 worst = max(worst, abs(g_arr.flat[i] - numeric)
                             / max(abs(g_arr.flat[i]), abs(numeric), 1e-12))
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("fc_first", [True, False])
+    def test_returns_input_gradient(self, fc_first):
+        from dfsmn.trainer import multitask_mse
+
+        fc = FcLayerSpec(hidden=4, activation="tanh")
+        mb = DfsmnLayerSpec(hidden=4, proj=2, n_back=2, n_ahead=1, activation="tanh")
+        cfg = NetworkConfig(input_dim=3, layers=(fc, mb) if fc_first else (mb, fc),
+                            output_streams=(StreamSpec("y", 2),), precision="fp64")
+        params = build_network(cfg, 6)
+        rng = Counter64(7)
+        for _, _, arr in iter_tensors(cfg, params):
+            arr[...] = 0.5 * rng.normal(arr.size).reshape(arr.shape)
+        x = rng.normal(18).reshape(6, 3)
+        targets = {"y": rng.normal(12).reshape(6, 2)}
+        outs, cache = net.forward(params, cfg, x)
+        _, grad_x = net.backward(cache, multitask_mse(outs, targets)[1])
+        assert grad_x.shape == x.shape
+        step = 1e-6
+        for i in range(x.size):
+            old = x.flat[i]
+            x.flat[i] = old + step
+            lp = multitask_mse(net.forward(params, cfg, x)[0], targets)[0]
+            x.flat[i] = old - step
+            lm = multitask_mse(net.forward(params, cfg, x)[0], targets)[0]
+            x.flat[i] = old
+            numeric = (lp - lm) / (2 * step)
+            assert abs(grad_x.flat[i] - numeric) <= 1e-6 * max(abs(numeric), 1e-3)
 
 
 ACTS = L.ACTIVATIONS
@@ -513,8 +541,7 @@ class TestEpilogue:
         x = rng.normal(120).reshape(40, 3)
         outs, cache = net.forward(params, cfg, x, bounds=bounds)
         grads, grad_x = net.backward(
-            cache, {a: rng.normal(80).reshape(40, 2).astype(cfg.dtype()) for a in ACTS},
-            want_input_grad=True)
+            cache, {a: rng.normal(80).reshape(40, 2).astype(cfg.dtype()) for a in ACTS})
         h = hashlib.sha256()
         for a in ACTS:
             h.update(outs[a].tobytes())
@@ -554,6 +581,26 @@ class TestDataset:
             assert np.array_equal(g.inputs, w.inputs)
             assert list(g.targets) == ["y"]
             assert np.array_equal(g.targets["y"], w.targets["y"])
+
+    def test_ids_that_prefix_each_other_round_trip(self, tmp_path):
+        rng = Counter64(5)
+        data = [SequenceData(seq_id, rng.normal(2 * n).reshape(n, 2).astype(np.float32),
+                             {"y": rng.normal(n).reshape(n, 1).astype(np.float32)})
+                for seq_id, n in [("a", 3), ("a.b", 4)]]
+        write_dataset(tmp_path, data)
+        # a stray file whose stream part is empty is not read
+        write_feature(tmp_path / "a.feat", "stray", np.zeros((1, 1), np.float32))
+        got = load_dataset(tmp_path)
+        assert [s.seq_id for s in got] == ["a", "a.b"]
+        for g, w in zip(got, data):
+            assert np.array_equal(g.inputs, w.inputs)
+            assert list(g.targets) == ["y"]
+            assert np.array_equal(g.targets["y"], w.targets["y"])
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        write_dataset(tmp_path, [])
+        with pytest.raises(ValueError, match="manifest lists no sequences"):
+            load_dataset(tmp_path)
 
 
 class TestModelFile:

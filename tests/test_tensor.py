@@ -5,10 +5,6 @@ from dfsmn.tensor import Counter64, ShapeError, as_sequence, derive_seed, seeded
 
 
 class TestSeededNormal:
-    def test_zero_stddev_is_constant(self):
-        out = seeded_normal(5, 3, 4, mean=2.5, stddev=0.0)
-        assert np.array_equal(out, np.full((3, 4), 2.5))
-
     def test_same_seed_bit_identical(self):
         a = seeded_normal(123, 10, 10)
         b = seeded_normal(123, 10, 10)
