@@ -12,6 +12,6 @@ from .network import (DfsmnLayerSpec, FcLayerSpec, NetworkConfig, NetworkParams,
 from .tensor import Counter64, ShapeError, derive_seed, seeded_normal
 from .trainer import (GradCheckReport, LrScheduler, SyntheticTaskSpec, TrainConfig,
                       gen_acoustic_toy_task, gen_echo_task, grad_check,
-                      multitask_mse, sgd_step, train)
+                      multitask_mse, train)
 
 __version__ = "0.1.0"

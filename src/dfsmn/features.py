@@ -88,11 +88,12 @@ def write_dataset(dirpath, dataset) -> None:
 
 
 def read_manifest(dirpath):
-    """Returns [(seq_id, frames), ...] in manifest order."""
+    """Returns [(seq_id, frames), ...] in manifest order; an id may appear once."""
     path = os.path.join(dirpath, MANIFEST_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {dirpath}")
     entries = []
+    first_line = {}
     with open(path) as f:
         for ln, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -101,6 +102,10 @@ def read_manifest(dirpath):
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln}: expected 'id<TAB>frames'")
+            if parts[0] in first_line:
+                raise ValueError(f"{path}:{ln}: id {parts[0]!r} repeats line "
+                                 f"{first_line[parts[0]]}")
+            first_line[parts[0]] = ln
             entries.append((parts[0], int(parts[1])))
     return entries
 

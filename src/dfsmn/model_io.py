@@ -8,15 +8,17 @@ Layout (all integers little-endian uint32 unless noted):
     tensors in declaration order, each as: ndim, dims..., raw payload
 
 Payload dtype follows the embedded config's precision flag ("<f4" or "<f8").
-Loading allocates the tensors the embedded config describes, zero-filled and
-with no seeded init, after checking that the bytes left after the config can
-hold that many parameters. Round-trips are byte-exact: save(load(f))
+Files stream tensor by tensor: saving writes each tensor's buffer straight
+to the file, and loading reads each payload straight into its zero-filled
+tensor (no seeded init), so neither holds a second copy of the parameters.
+Every size a header claims is checked against the file's length before the
+read or allocation it would size. Round-trips are byte-exact: save(load(f))
 reproduces f bit for bit.
 """
 
 from __future__ import annotations
 
-import io
+import os
 import struct
 
 import numpy as np
@@ -49,34 +51,33 @@ def _wire_dtype(cfg: NetworkConfig) -> np.dtype:
 
 
 def save_model(params: NetworkParams, cfg: NetworkConfig, path) -> None:
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", VERSION))
     cfg_bytes = config_to_json(cfg).encode("utf-8")
-    buf.write(struct.pack("<I", len(cfg_bytes)))
-    buf.write(cfg_bytes)
     wire = _wire_dtype(cfg)
-    for _, _, arr in iter_tensors(cfg, params):
-        buf.write(struct.pack("<I", arr.ndim))
-        for d in arr.shape:
-            buf.write(struct.pack("<I", d))
-        buf.write(np.ascontiguousarray(arr, dtype=wire).tobytes())
     with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        f.write(MAGIC + struct.pack("<II", VERSION, len(cfg_bytes)) + cfg_bytes)
+        for _, _, arr in iter_tensors(cfg, params):
+            f.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
+            f.write(np.ascontiguousarray(arr, dtype=wire).data)
 
 
 class _Reader:
+    """Bounds-checked reads from a file's bytes held in memory."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.size = len(data)
+
+    def _claim(self, n: int) -> None:
+        """Advance past n bytes, which must lie inside the file."""
+        if self.pos + n > self.size:
+            raise TruncatedFileError(
+                f"needed {n} bytes at offset {self.pos}, file has {self.size}")
+        self.pos += n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedFileError(
-                f"needed {n} bytes at offset {self.pos}, file has {len(self.data)}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self._claim(n)
+        return self.data[self.pos - n:self.pos]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -89,35 +90,64 @@ class _Reader:
             raise ModelFileError(f"{what} is not valid utf-8: {e}")
 
 
+class _FileReader(_Reader):
+    """The same reads straight from an open file, each checked against the
+    file's size (os.fstat) before it is made."""
+
+    def __init__(self, f):
+        self.f = f
+        self.pos = 0
+        self.size = os.fstat(f.fileno()).st_size
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        out = self.f.read(n)
+        self._check_read(len(out), n)
+        return out
+
+    def read_into(self, arr: np.ndarray) -> None:
+        """Fill the C-contiguous arr with the next arr.nbytes bytes of the file."""
+        self._claim(arr.nbytes)
+        self._check_read(self.f.readinto(arr), arr.nbytes)
+
+    def _check_read(self, got: int, n: int) -> None:
+        """The file held fewer bytes than its size promised (it shrank)."""
+        if got != n:
+            raise TruncatedFileError(
+                f"needed {n} bytes at offset {self.pos - n}, read {got}")
+
+
 def load_model(path):
     """Read a model file back; returns (params, cfg)."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
-    magic = r.take(4)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version = r.u32()
-    if version != VERSION:
-        raise VersionMismatchError(f"file version {version}, reader supports {VERSION}")
-    cfg = parse_config(r.text("embedded config"))
-    wire = _wire_dtype(cfg)
-    payload = count_params(cfg) * wire.itemsize
-    left = len(r.data) - r.pos
-    if left < payload:
-        raise TruncatedFileError(
-            f"config needs {payload} payload bytes, file has {left} after it")
-    params = zeros_network(cfg)
-    for _, path_name, arr in iter_tensors(cfg, params):
-        ndim = r.u32()
-        if ndim != arr.ndim:
-            raise ModelFileError(
-                f"tensor {path_name}: stored ndim {ndim} != expected {arr.ndim}")
-        shape = tuple(r.u32() for _ in range(ndim))
-        if shape != arr.shape:
-            raise ModelFileError(
-                f"tensor {path_name}: stored shape {shape} != expected {arr.shape}")
-        payload = r.take(arr.size * wire.itemsize)
-        arr[...] = np.frombuffer(payload, dtype=wire).reshape(shape)
-    if r.pos != len(r.data):
-        raise ModelFileError(f"{len(r.data) - r.pos} trailing bytes after last tensor")
+        r = _FileReader(f)
+        magic = r.take(4)
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        version = r.u32()
+        if version != VERSION:
+            raise VersionMismatchError(
+                f"file version {version}, reader supports {VERSION}")
+        cfg = parse_config(r.text("embedded config"))
+        wire = _wire_dtype(cfg)
+        payload = count_params(cfg) * wire.itemsize
+        left = r.size - r.pos
+        if left < payload:
+            raise TruncatedFileError(
+                f"config needs {payload} payload bytes, file has {left} after it")
+        params = zeros_network(cfg)
+        for _, path_name, arr in iter_tensors(cfg, params):
+            ndim = r.u32()
+            if ndim != arr.ndim:
+                raise ModelFileError(
+                    f"tensor {path_name}: stored ndim {ndim} != expected {arr.ndim}")
+            shape = tuple(r.u32() for _ in range(ndim))
+            if shape != arr.shape:
+                raise ModelFileError(
+                    f"tensor {path_name}: stored shape {shape} != expected {arr.shape}")
+            r.read_into(arr)
+            if not wire.isnative:
+                arr.byteswap(inplace=True)
+        if r.pos != r.size:
+            raise ModelFileError(f"{r.size - r.pos} trailing bytes after last tensor")
     return params, cfg

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -447,19 +447,31 @@ def forward(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds=None) -
     return head_out, NetworkCache(cfg, caches, h, head_out, params)
 
 
-def backward(cache: NetworkCache, grad_streams: dict) -> tuple:
+def backward(cache: NetworkCache, grad_streams: dict, lr: Optional[float] = None) -> tuple:
     """Back-propagate per-stream output gradients to every parameter.
 
     Stream gradients join at the shared trunk; skip-path gradients are routed
-    back to the producing layer's memory-block sum. Returns (parameter grads
-    shaped like NetworkParams, gradient of the network input).
+    back to the producing layer's memory-block sum. One loop, two modes:
+
+    - collect (lr None): returns (parameter grads shaped like NetworkParams,
+      gradient of the network input);
+    - update: applies p -= lr * g to each parameter group as soon as backward
+      is done reading it (a head once its share of the trunk gradient is
+      formed, a layer once its input gradient is), drops that gradient group
+      and each layer cache as it goes, and returns (cache.params, gradient of
+      the network input). The cache is spent; at most one layer's gradients
+      are alive at a time.
+
+    Both modes compute the same gradient bytes, so an update equals collect
+    followed by p -= lr * g per tensor.
     """
     cfg = cache.cfg
     names = {s.name for s in cfg.output_streams}
     if set(grad_streams) != names:
         raise KeyError(f"stream gradients {sorted(grad_streams)}, want {sorted(names)}")
 
-    grads = NetworkParams()
+    params = cache.params
+    grads = NetworkParams(layers=[None] * len(cfg.layers))
     grad_top = np.zeros_like(cache.top_hidden)
     for s in cfg.output_streams:
         g = grad_streams[s.name]
@@ -467,24 +479,42 @@ def backward(cache: NetworkCache, grad_streams: dict) -> tuple:
         if g.shape != out.shape:
             raise ShapeError(f"stream {s.name!r}: grad shape {g.shape} != {out.shape}")
         dpre = g * L.activate_grad(s.activation, out)
-        hp = cache.params.heads[s.name]
-        grads.heads[s.name] = Affine(cache.top_hidden.T @ dpre, dpre.sum(axis=0))
+        hp = params.heads[s.name]
+        hg = Affine(cache.top_hidden.T @ dpre, dpre.sum(axis=0))
         grad_top += dpre @ hp.weight.T
+        if lr is None:
+            grads.heads[s.name] = hg
+        else:
+            _sgd(hp, hg, lr)
+    if lr is not None:
+        cache.head_out = cache.top_hidden = None
 
-    layer_grads = [None] * len(cfg.layers)
     grad_h = grad_top
     pending_skip = None  # gradient owed to the previous layer's ptilde
     for li in range(len(cfg.layers) - 1, -1, -1):
-        spec = cfg.layers[li]
-        lcache = cache.layer_caches[li]
-        if isinstance(spec, DfsmnLayerSpec):
-            grad_h, g_skip, lg = L.layer_backward(lcache, grad_h, pending_skip)
-            layer_grads[li] = lg
-            pending_skip = g_skip
+        grad_h, pending_skip, lg = _layer_backward(
+            cfg.layers[li], cache.layer_caches[li], grad_h, pending_skip)
+        if lr is None:
+            grads.layers[li] = lg
         else:
-            assert pending_skip is None
-            grad_h, dw, db = L.fc_layer_backward(lcache, grad_h)
-            layer_grads[li] = Affine(dw, db)
-            pending_skip = None
-    grads.layers = layer_grads
-    return grads, grad_h
+            cache.layer_caches[li] = None
+            _sgd(params.layers[li], lg, lr)
+        del lg  # the next layer's backward runs without this group's gradients
+    return (grads if lr is None else params), grad_h
+
+
+def _layer_backward(spec: LayerSpec, lcache, grad_h: np.ndarray, pending_skip):
+    """One layer's (input gradient, gradient owed to the previous layer's
+    ptilde or None, parameter gradients shaped like the layer's params)."""
+    if isinstance(spec, DfsmnLayerSpec):
+        return L.layer_backward(lcache, grad_h, pending_skip)
+    assert pending_skip is None
+    grad_in, d_weight, d_bias = L.fc_layer_backward(lcache, grad_h)
+    return grad_in, None, Affine(d_weight, d_bias)
+
+
+def _sgd(group, grads, lr: float) -> None:
+    """p -= lr * g in place over the tensors of one parameter group."""
+    for f in fields(group):
+        p = getattr(group, f.name)
+        p -= lr * getattr(grads, f.name)

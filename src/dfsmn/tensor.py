@@ -30,6 +30,9 @@ _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of SplitMix64
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+# Values per step of seeded_normal: 64k Box-Muller pairs. Even, so every step
+# but the last consumes exactly its own counter slots.
+NORMAL_CHUNK = 1 << 17
 
 
 class ShapeError(ValueError):
@@ -129,10 +132,19 @@ class Counter64:
 
 def seeded_normal(seed: int, rows: int, cols: int, stddev: float = 1.0,
                   dtype=np.float64) -> np.ndarray:
-    """Reproducible rows x cols zero-mean normal draw; same seed, same bits."""
+    """Reproducible rows x cols zero-mean normal draw; same seed, same bits.
+
+    Equal to (stddev * Counter64(seed).normal(rows * cols)).astype(dtype),
+    drawn NORMAL_CHUNK values (whole Box-Muller pairs) at a time and written
+    straight into the result, so no fp64 temporary grows with the draw.
+    """
     if rows < 1 or cols < 1:
         raise ShapeError(f"matrix dims must be positive, got {rows}x{cols}")
     if stddev < 0:
         raise ValueError(f"stddev must be >= 0, got {stddev}")
-    out = stddev * Counter64(seed).normal(rows * cols)
-    return out.reshape(rows, cols).astype(dtype)
+    out = np.empty(rows * cols, dtype=dtype)
+    rng = Counter64(seed)
+    for start in range(0, out.size, NORMAL_CHUNK):
+        chunk = out[start:start + NORMAL_CHUNK]
+        chunk[...] = stddev * rng.normal(chunk.size)
+    return out.reshape(rows, cols)

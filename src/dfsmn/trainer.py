@@ -72,17 +72,6 @@ def multitask_mse(pred_streams: dict, target_streams: dict):
     return loss, grads
 
 
-def sgd_step(cfg: NetworkConfig, params: NetworkParams, grads: NetworkParams,
-             lr: float) -> NetworkParams:
-    """In-place theta <- theta - lr * grad over every tensor."""
-    for (_, path, p), (_, _, g) in zip(net.iter_tensors(cfg, params),
-                                       net.iter_tensors(cfg, grads), strict=True):
-        if p.shape != g.shape:
-            raise ShapeError(f"{path}: param shape {p.shape} != grad shape {g.shape}")
-        p -= lr * g
-    return params
-
-
 @dataclass
 class LrScheduler:
     """Decays lr by DECAY_FACTOR after `patience` consecutive validation
@@ -442,15 +431,19 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
           valid=None):
     """SGD over whole-sequence minibatches of >= batch_frames frames.
 
-    Each minibatch is packed into one frame matrix for one forward, backward
-    and SGD step, with memory-block taps kept inside each sequence; loss and
-    gradient are frame-weighted sums over the sequences. Returns (params,
-    [EpochStats per epoch]). Deterministic in (seed, cfg, dataset).
+    Each minibatch is packed into one frame matrix for one forward and one
+    backward that applies the SGD step as it goes (network.backward's update
+    mode), with memory-block taps kept inside each sequence; loss and
+    gradient are frame-weighted sums over the sequences. valid None
+    validates on the training set. Returns (params, [EpochStats per epoch]).
+    Deterministic in (seed, cfg, dataset).
     """
     sched = LrScheduler(lr=train_cfg.lr, patience=train_cfg.patience,
                         min_improvement=train_cfg.min_improvement)
     check_dataset(cfg, dataset)
-    valid_set = valid if valid else dataset
+    if valid is not None and not valid:
+        raise ValueError("empty validation set (pass None to validate on the training set)")
+    valid_set = dataset if valid is None else valid
     check_dataset(cfg, valid_set)
     history = []
     for epoch in range(train_cfg.max_epochs):
@@ -471,9 +464,10 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
                         f"(sequence {seq.seq_id})")
                 batch_loss += (b - a) / total_frames * loss
             _, grad_streams = multitask_mse(outs, targets)
-            # a temporary: a name bound to the gradients would keep a second
-            # parameter-sized set alive through the next batch
-            sgd_step(cfg, params, net.backward(cache, grad_streams)[0], sched.lr)
+            # outs is cache.head_out, which the update releases with the
+            # layer caches as backward walks down the stack
+            del outs
+            net.backward(cache, grad_streams, lr=sched.lr)
             epoch_loss += total_frames * batch_loss
         train_mse = epoch_loss / sum(seq.frames for seq in dataset)
         valid_mse = evaluate_mse(params, cfg, valid_set)

@@ -327,6 +327,23 @@ class TestTrainEval:
         assert captured.err == f"error: {empty}: manifest lists no sequences\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_repeated_manifest_id_exits_2(self, tmp_path, echo_data, capsys, command):
+        manifest = echo_data / "train" / "manifest.txt"
+        first = manifest.read_text().splitlines()[0]
+        manifest.write_text(manifest.read_text() + first + "\n")
+        model = tmp_path / "m.dfsmn"
+        argv = {"train": ["train", "--config", str(self._write_cfg(tmp_path)),
+                          "--data", str(echo_data), "--out", str(model), "--epochs", "1"],
+                "eval": ["eval", "--data", str(echo_data / "train"),
+                         "--hyp", str(echo_data / "train")]}[command]
+        seq_id = first.split("\t")[0]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"id {seq_id!r} repeats line 1" in captured.err
+        assert captured.out == ""
+        assert not model.exists()
+
     def test_train_empty_valid_exits_2(self, tmp_path, echo_data, capsys):
         (echo_data / "valid" / "manifest.txt").write_text("")
         model = tmp_path / "m.dfsmn"

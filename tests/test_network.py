@@ -5,6 +5,7 @@ import re
 import struct
 import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from dfsmn import layers as L
 from dfsmn import network as net
-from dfsmn import features
-from dfsmn.features import (SequenceData, load_dataset, read_feature, write_dataset,
-                            write_feature)
+from dfsmn import features, model_io
+from dfsmn.features import (SequenceData, load_dataset, read_feature, read_manifest,
+                            write_dataset, write_feature)
 from dfsmn.model_io import (MAGIC, VERSION, BadMagicError, ModelFileError,
                             TruncatedFileError, VersionMismatchError, load_model,
                             save_model)
@@ -597,6 +598,16 @@ class TestDataset:
             assert list(g.targets) == ["y"]
             assert np.array_equal(g.targets["y"], w.targets["y"])
 
+    def test_repeated_id_rejected(self, tmp_path):
+        rng = Counter64(6)
+        data = [SequenceData(seq_id, rng.normal(2 * n).reshape(n, 2).astype(np.float32))
+                for seq_id, n in [("a", 3), ("b", 4)]]
+        write_dataset(tmp_path, data)
+        manifest = tmp_path / features.MANIFEST_NAME
+        manifest.write_text(manifest.read_text() + "a\t3\n")
+        with pytest.raises(ValueError, match=r"manifest.txt:3: id 'a' repeats line 1"):
+            read_manifest(tmp_path)
+
     def test_empty_manifest_rejected(self, tmp_path):
         write_dataset(tmp_path, [])
         with pytest.raises(ValueError, match="manifest lists no sequences"):
@@ -706,6 +717,29 @@ class TestModelFile:
                                         iter_tensors(cfg, loaded)):
             assert np.array_equal(a, b)
 
+    def _traced_peak(self, fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def test_save_and_load_hold_no_second_copy(self, tmp_path):
+        cfg = expand_shorthand("2+1", "2,2,1,1", input_dim=64, hidden=1024, proj=128)
+        params = build_network(cfg, 3)
+        param_bytes = count_params(cfg) * 4
+        assert param_bytes > 4 << 20
+        path = tmp_path / "m.dfsmn"
+        _, save_peak = self._traced_peak(save_model, params, cfg, path)
+        assert save_peak < 1 << 20
+        (loaded, _), load_peak = self._traced_peak(load_model, path)
+        assert load_peak <= param_bytes + (1 << 20)
+        for (_, _, a), (_, _, b) in zip(iter_tensors(cfg, params),
+                                        iter_tensors(cfg, loaded)):
+            assert np.array_equal(a, b)
+
     @pytest.mark.slow
     def test_preset_a_model_reports_full_count(self, tmp_path):
         cfg = preset_config("A")
@@ -754,6 +788,51 @@ class TestMalformedFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(ModelFileError, match=what):
             load(path)
+
+    def _streamed_model(self, tmp_path):
+        """A model file of about 0.55 MB: a loader that also held the file's
+        bytes would pass 1 MB."""
+        cfg = expand_shorthand("2+1", "2,2,1,1", input_dim=40, hidden=256, proj=64)
+        assert 1 << 19 < count_params(cfg) * 4 < 5 << 17
+        path = tmp_path / "m.dfsmn"
+        save_model(build_network(cfg, 0), cfg, path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("case,error,match", [
+        ("config length", TruncatedFileError, "needed 4294967295 bytes at offset 12"),
+        ("tensor dims", ModelFileError, r"layer0\.proj_weight: stored shape"),
+        ("cut mid-tensor", TruncatedFileError, "needed 1024 bytes"),
+        ("trailing bytes", ModelFileError, "3 trailing bytes"),
+    ])
+    def test_streamed_loader_rejects_within_1mb(self, tmp_path, case, error, match):
+        path, raw = self._streamed_model(tmp_path)
+        first_dims = 12 + struct.unpack_from("<I", raw, 8)[0] + 4
+        forged = {"config length": lambda: raw[:8] + b"\xff" * 4 + raw[12:],
+                  "tensor dims": lambda: (raw[:first_dims] + struct.pack("<I", 0xFFFFFFFF)
+                                          + raw[first_dims + 4:]),
+                  # inside the payload of head.uv.weight (256 x 1), the last
+                  # tensor but one: past the up-front payload size check
+                  "cut mid-tensor": lambda: raw[:-100],
+                  "trailing bytes": lambda: raw + b"xyz"}[case]()
+        path.write_bytes(forged)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=match):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_short_read_raises_truncated(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size was taken: readinto comes back short
+        path, raw = self._streamed_model(tmp_path)
+        path.write_bytes(raw[:-100])
+        real_fstat = os.fstat
+        monkeypatch.setattr(model_io.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 100))
+        with pytest.raises(TruncatedFileError, match="needed 1024 bytes at .*, read 936"):
+            load_model(path)
 
     @pytest.mark.parametrize("kind", ["model", "feature"])
     @settings(max_examples=300, deadline=None,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dfsmn.tensor import Counter64, ShapeError, as_sequence, derive_seed, seeded_normal
+from dfsmn.tensor import (NORMAL_CHUNK, Counter64, ShapeError, as_sequence, derive_seed,
+                          seeded_normal)
 
 
 class TestSeededNormal:
@@ -28,6 +29,16 @@ class TestSeededNormal:
     def test_fp32_dtype(self):
         out = seeded_normal(9, 4, 4, dtype=np.float32)
         assert out.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_draw_equals_one_whole_draw(self, dtype):
+        # 41 x 7503 = 307623 values: two whole chunks and an odd-length tail
+        rows, cols = 41, 7503
+        assert 2 * NORMAL_CHUNK < rows * cols < 3 * NORMAL_CHUNK and rows * cols % 2
+        got = seeded_normal(17, rows, cols, stddev=0.3, dtype=dtype)
+        want = (0.3 * Counter64(17).normal(rows * cols)).astype(dtype)
+        assert got.dtype == dtype and got.shape == (rows, cols)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCounter64:

@@ -1,8 +1,10 @@
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from dfsmn import layers as L
 from dfsmn import network as net
 from dfsmn import trainer
 from dfsmn.features import SequenceData
@@ -11,8 +13,7 @@ from dfsmn.network import (DfsmnLayerSpec, FcLayerSpec, NetworkConfig, StreamSpe
 from dfsmn.tensor import Counter64, ShapeError, derive_seed
 from dfsmn.trainer import (ECHO_STREAM, EpochStats, LrScheduler, SyntheticTaskSpec,
                            TrainConfig, evaluate_mse, gen_acoustic_toy_task,
-                           gen_echo_task, grad_check, multitask_mse, sgd_step,
-                           train)
+                           gen_echo_task, grad_check, multitask_mse, train)
 
 
 def tiny_cfg(**kw):
@@ -68,36 +69,125 @@ class TestMultitaskMse:
             multitask_mse({"a": np.zeros((2, 1))}, {"a": np.zeros((1, 1))})
 
 
+def update_case(precision="fp64", n_back=3, n_ahead=2, seed=4):
+    """Two skip-connected memory-block layers, an fc layer and two heads, every
+    tensor drawn nonzero, and three sequences. The taps per memory block,
+    n_back + 1 + n_ahead, pick the walk (below L.GEMM_MIN_TAPS) or the GEMM."""
+    mb = dict(hidden=6, proj=4, n_back=n_back, n_ahead=n_ahead, stride_back=2,
+              activation="tanh")
+    layers = (DfsmnLayerSpec(**mb), DfsmnLayerSpec(**mb, skip=True),
+              FcLayerSpec(hidden=5, activation="tanh"))
+    cfg = NetworkConfig(input_dim=3, layers=layers,
+                        output_streams=(StreamSpec("a", 2), StreamSpec("b", 1, "sigmoid")),
+                        precision=precision)
+    params = build_network(cfg, seed)
+    rng = Counter64(derive_seed(seed, 1))
+    for _, _, arr in iter_tensors(cfg, params):
+        arr[...] = 0.3 * rng.normal(arr.size).reshape(arr.shape)
+    seqs = [SequenceData(f"s{i}", rng.normal(T * 3).reshape(T, 3),
+                         {"a": rng.normal(T * 2).reshape(T, 2),
+                          "b": rng.uniform(T).reshape(T, 1)})
+            for i, T in enumerate((13, 17, 9))]
+    return cfg, params, seqs
+
+
+def copy_params(cfg, params):
+    out = net.zeros_network(cfg)
+    for (_, _, o), (_, _, p) in zip(iter_tensors(cfg, out), iter_tensors(cfg, params)):
+        o[...] = p
+    return out
+
+
+def backward_on(cfg, params, seqs, lr=None):
+    """One packed forward over seqs and network.backward in the mode lr picks;
+    returns (backward's result, the spent cache)."""
+    inputs, targets, bounds = trainer._pack(seqs, cfg)
+    outs, cache = net.forward(params, cfg, inputs, bounds=bounds)
+    return net.backward(cache, multitask_mse(outs, targets)[1], lr=lr), cache
+
+
 class TestSgdStep:
-    def _params(self, seed=0):
-        cfg = tiny_cfg()
-        return cfg, build_network(cfg, seed)
+    """The SGD step that network.backward applies in update mode."""
 
     def test_zero_lr_is_identity(self):
-        cfg, params = self._params()
+        cfg, params, seqs = update_case()
+        (grads, _), _ = backward_on(cfg, copy_params(cfg, params), seqs)
+        assert all(g.any() for _, _, g in iter_tensors(cfg, grads))
         before = [arr.copy() for _, _, arr in iter_tensors(cfg, params)]
-        grads = build_network(cfg, 1)
-        sgd_step(cfg, params, grads, 0.0)
+        (returned, _), _ = backward_on(cfg, params, seqs, lr=0.0)
+        assert returned is params
         for b, (_, _, a) in zip(before, iter_tensors(cfg, params)):
             assert np.array_equal(a, b)
 
     def test_hand_case(self):
-        cfg, params = self._params()
+        # all-zero weights: the head outputs its bias, 1 against a target of
+        # 0, so d loss / d bias = 2 / 2 * 1 per element and lr 1 zeroes it
+        cfg = tiny_cfg()
+        params = net.zeros_network(cfg)
         params.heads["y"].bias[...] = 1.0
-        grads = net.zeros_network(cfg)
-        grads.heads["y"].bias[...] = 2.0
-        sgd_step(cfg, params, grads, 0.5)
+        seq = SequenceData("s", np.ones((1, 3)), {"y": np.zeros((1, 2))})
+        backward_on(cfg, params, [seq], lr=1.0)
         assert np.array_equal(params.heads["y"].bias, np.zeros(2))
+        assert not params.heads["y"].weight.any()
 
-    def test_two_half_steps_equal_one_full(self):
-        cfg, pa = self._params(3)
-        _, pb = self._params(3)
-        grads = build_network(cfg, 9)
-        sgd_step(cfg, pa, grads, 0.1)
-        sgd_step(cfg, pb, grads, 0.05)
-        sgd_step(cfg, pb, grads, 0.05)
-        for (_, _, a), (_, _, b) in zip(iter_tensors(cfg, pa), iter_tensors(cfg, pb)):
-            assert np.max(np.abs(a - b)) < 1e-12
+    def test_step_is_linear_in_lr(self):
+        cfg, params, seqs = update_case(seed=3)
+        full, half = copy_params(cfg, params), copy_params(cfg, params)
+        backward_on(cfg, full, seqs, lr=0.1)
+        backward_on(cfg, half, seqs, lr=0.05)
+        for (_, _, p), (_, _, f), (_, _, h) in zip(iter_tensors(cfg, params),
+                                                   iter_tensors(cfg, full),
+                                                   iter_tensors(cfg, half)):
+            assert (p - f).any()
+            assert np.max(np.abs((p - f) - 2 * (p - h))) < 1e-12
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    @pytest.mark.parametrize("orders", [(3, 2), (10, 8)], ids=["walk", "gemm"])
+    def test_update_equals_collect_then_step(self, precision, orders):
+        cfg, params, seqs = update_case(precision, *orders)
+        gemm = len(L._tap_offsets(cfg.layers[0])) >= L.GEMM_MIN_TAPS
+        assert gemm == (orders == (10, 8))
+        lr = 0.05
+        want = copy_params(cfg, params)
+        (grads, want_in), _ = backward_on(cfg, want, seqs)
+        for (_, _, w), (_, _, g) in zip(iter_tensors(cfg, want), iter_tensors(cfg, grads)):
+            w -= lr * g
+        (returned, got_in), cache = backward_on(cfg, params, seqs, lr=lr)
+        assert returned is params
+        assert cache.layer_caches == [None] * len(cfg.layers)
+        assert cache.head_out is None and cache.top_hidden is None
+        for (_, path, got), (_, _, w) in zip(iter_tensors(cfg, params),
+                                             iter_tensors(cfg, want)):
+            assert got.dtype == cfg.dtype() and got.tobytes() == w.tobytes(), path
+        assert got_in.tobytes() == want_in.tobytes()
+
+    @pytest.mark.parametrize("orders", [(3, 2), (10, 8)], ids=["walk", "gemm"])
+    def test_no_gradient_group_or_layer_cache_reaches_next_forward(self, orders,
+                                                                   monkeypatch):
+        cfg, params, seqs = update_case("fp32", *orders)
+        real_forward, real_backward, real_sgd = net.forward, net.backward, net._sgd
+        refs, groups = [], []
+
+        def forward(*args, **kwargs):
+            assert all(ref() is None for ref in refs)
+            return real_forward(*args, **kwargs)
+
+        def backward(cache, grad_streams, **kwargs):
+            refs.extend(weakref.ref(c) for c in cache.layer_caches)
+            refs.extend(weakref.ref(o) for o in cache.head_out.values())
+            return real_backward(cache, grad_streams, **kwargs)
+
+        def sgd(group, grads, lr):
+            groups.append(type(grads))
+            refs.append(weakref.ref(grads))
+            refs.extend(weakref.ref(getattr(grads, f.name)) for f in fields(grads))
+            real_sgd(group, grads, lr)
+        monkeypatch.setattr(net, "forward", forward)
+        monkeypatch.setattr(net, "backward", backward)
+        monkeypatch.setattr(net, "_sgd", sgd)
+        train(cfg, params, seqs, TrainConfig(batch_frames=20, lr=0.05, max_epochs=2, seed=3))
+        # every batch updates the three layers and the two heads
+        assert len(groups) > 5 and len(groups) % 5 == 0
 
 
 class TestLrScheduler:
@@ -372,6 +462,13 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             train(cfg, build_network(cfg, 0), [], TrainConfig(max_epochs=1))
 
+    def test_empty_validation_set_rejected(self):
+        # only None means "validate on the training set"
+        train_set, _ = self._echo_data()
+        cfg = echo_config()
+        with pytest.raises(ValueError, match="empty validation set"):
+            train(cfg, build_network(cfg, 0), train_set, TrainConfig(max_epochs=1), [])
+
     def test_stream_mismatch_names_stream_and_dims(self):
         train_set, _ = self._echo_data()
         layers = (FcLayerSpec(hidden=4),)
@@ -468,7 +565,9 @@ class TestPackedBatch:
                     for (_, _, a), (_, _, g) in zip(iter_tensors(cfg, acc),
                                                     iter_tensors(cfg, grads)):
                         a += seq.frames / total * g
-                sgd_step(cfg, want, acc, tc.lr)
+                for (_, _, w), (_, _, a) in zip(iter_tensors(cfg, want),
+                                                iter_tensors(cfg, acc)):
+                    w -= tc.lr * a
 
         params, history = train(cfg, params, seqs, tc)
         assert [h.lr for h in history] == [tc.lr, tc.lr]
@@ -480,19 +579,21 @@ class TestPackedBatch:
         # a second parameter-sized gradient set alive through the next
         # batch raised the peak memory of full-size training by ~25%
         cfg, params, seqs = packing_case()
-        real_forward, real_backward = net.forward, net.backward
+        real_forward, real_sgd = net.forward, net._sgd
         returned = []
 
         def forward(*args, **kwargs):
             assert all(ref() is None for ref in returned)
             return real_forward(*args, **kwargs)
 
-        def backward(*args, **kwargs):
-            grads, grad_in = real_backward(*args, **kwargs)
-            returned.extend([weakref.ref(grads), weakref.ref(grads.layers[0].proj_weight)])
-            return grads, grad_in
+        def sgd(group, grads, lr):
+            # the update hands each gradient group to net._sgd, never to the caller
+            returned.append(weakref.ref(grads))
+            if group is params.layers[0]:
+                returned.append(weakref.ref(grads.proj_weight))
+            real_sgd(group, grads, lr)
         monkeypatch.setattr(net, "forward", forward)
-        monkeypatch.setattr(net, "backward", backward)
+        monkeypatch.setattr(net, "_sgd", sgd)
         train(cfg, params, seqs, TrainConfig(batch_frames=8, lr=0.05, max_epochs=2, seed=3))
         assert len(returned) > 2
 
