@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model_io import BadMagicError, ModelFileError, VersionMismatchError, _Reader
+from .model_io import BadMagicError, ModelFileError, VersionMismatchError, _FileReader
 
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
@@ -44,22 +44,24 @@ def write_feature(path, stream_name: str, data: np.ndarray) -> None:
 
 
 def read_feature(path):
-    """Returns (stream_name, T x D float32 array)."""
+    """Returns (stream_name, T x D float32 array). The file is read as a
+    stream, and the payload size its header claims is checked against the
+    file's length before the array is allocated."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
-    magic = r.take(4)
-    if magic != FEATURE_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
-    version = r.u32()
-    if version != FEATURE_VERSION:
-        raise VersionMismatchError(
-            f"feature version {version}, reader supports {FEATURE_VERSION}")
-    frames, dim = r.u32(), r.u32()
-    name = r.text("stream name")
-    data = np.frombuffer(r.take(frames * dim * 4), dtype="<f4").reshape(frames, dim)
-    if r.pos != len(r.data):
-        raise ModelFileError(f"{len(r.data) - r.pos} trailing bytes in feature file")
-    return name, data.astype(np.float32)
+        r = _FileReader(f)
+        magic = r.take(4)
+        if magic != FEATURE_MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
+        version = r.u32()
+        if version != FEATURE_VERSION:
+            raise VersionMismatchError(
+                f"feature version {version}, reader supports {FEATURE_VERSION}")
+        frames, dim = r.u32(), r.u32()
+        name = r.text("stream name")
+        data = r.read_array((frames, dim), np.float32)
+        if r.pos != r.size:
+            raise ModelFileError(f"{r.size - r.pos} trailing bytes in feature file")
+    return name, data
 
 
 @dataclass

@@ -35,7 +35,9 @@ other rows of its blocks' windows (0 * inf is nan).
 Epilogues run in place: `affine` adds the bias to h @ W without a second
 array and `activate` overwrites its argument. A layer cache holds h, p,
 ptilde and out; backward reads each activation's derivative from out
-(`activate_grad`), so no pre-activation is kept.
+(`activate_grad`), so no pre-activation is kept. Every affine backward
+(projection, output transform, fc layer and the network's heads) is
+`_affine_backward`.
 """
 
 from __future__ import annotations
@@ -363,17 +365,13 @@ def layer_backward(cache: DfsmnLayerCache, grad_out: np.ndarray,
         raise ShapeError(
             f"grad shape {grad_out.shape} != output shape {cache.out_seq.shape}")
     p = cache.params
-    dpre = grad_out * activate_grad(cache.spec.activation, cache.out_seq)
-    d_out_weight = cache.ptilde_seq.T @ dpre
-    d_out_bias = dpre.sum(axis=0)
-    dptilde = dpre @ p.out_weight.T
+    dptilde, d_out_weight, d_out_bias = _affine_backward(
+        grad_out, cache.ptilde_seq, p.out_weight, cache.spec.activation, cache.out_seq)
     if grad_ptilde is not None:
-        dptilde = dptilde + grad_ptilde
+        dptilde += grad_ptilde
     dp, d_back, d_ahead, g_skip = memory_block_backward(
         dptilde, cache.p_seq, p.back_taps, p.ahead_taps, cache.spec, bounds=cache.bounds)
-    d_proj_weight = cache.h_seq.T @ dp
-    d_proj_bias = dp.sum(axis=0)
-    grad_in = dp @ p.proj_weight.T
+    grad_in, d_proj_weight, d_proj_bias = _affine_backward(dp, cache.h_seq, p.proj_weight)
     grads = DfsmnLayerParams(d_proj_weight, d_proj_bias, d_back, d_ahead,
                              d_out_weight, d_out_bias)
     return grad_in, g_skip, grads
@@ -384,11 +382,16 @@ def fc_layer_backward(cache: FcLayerCache, grad_out: np.ndarray):
     if grad_out.shape != cache.out_seq.shape:
         raise ShapeError(
             f"grad shape {grad_out.shape} != output shape {cache.out_seq.shape}")
-    dpre = grad_out * activate_grad(cache.activation, cache.out_seq)
-    d_weight = cache.h_seq.T @ dpre
-    d_bias = dpre.sum(axis=0)
-    grad_in = dpre @ cache.weight.T
-    return grad_in, d_weight, d_bias
+    return _affine_backward(grad_out, cache.h_seq, cache.weight, cache.activation,
+                            cache.out_seq)
+
+
+def _affine_backward(grad_out: np.ndarray, h_seq: np.ndarray, weight: np.ndarray,
+                     activation: str = "linear", out: Optional[np.ndarray] = None):
+    """(d h_seq, d weight, d bias) of out = act(h_seq @ weight + bias), the
+    activation's derivative read from out; a linear one passes grad_out on."""
+    dpre = grad_out if activation == "linear" else grad_out * activate_grad(activation, out)
+    return dpre @ weight.T, h_seq.T @ dpre, dpre.sum(axis=0)
 
 
 def _check_block_args(p_seq, back_taps, ahead_taps, spec, **seqs):

@@ -18,8 +18,10 @@ reproduces f bit for bit.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -46,13 +48,9 @@ class TruncatedFileError(ModelFileError):
     pass
 
 
-def _wire_dtype(cfg: NetworkConfig) -> np.dtype:
-    return cfg.dtype().newbyteorder("<")
-
-
 def save_model(params: NetworkParams, cfg: NetworkConfig, path) -> None:
     cfg_bytes = config_to_json(cfg).encode("utf-8")
-    wire = _wire_dtype(cfg)
+    wire = cfg.dtype().newbyteorder("<")
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<II", VERSION, len(cfg_bytes)) + cfg_bytes)
         for _, _, arr in iter_tensors(cfg, params):
@@ -60,24 +58,31 @@ def save_model(params: NetworkParams, cfg: NetworkConfig, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype=wire).data)
 
 
-class _Reader:
-    """Bounds-checked reads from a file's bytes held in memory."""
+class _FileReader:
+    """Bounds-checked reads straight from an open file, each checked against
+    the file's size (os.fstat) before it is made."""
 
-    def __init__(self, data: bytes):
-        self.data = data
+    def __init__(self, f):
+        self.f = f
         self.pos = 0
-        self.size = len(data)
+        self.size = os.fstat(f.fileno()).st_size
 
-    def _claim(self, n: int) -> None:
-        """Advance past n bytes, which must lie inside the file."""
+    def _check_left(self, n: int) -> None:
+        """The next n bytes must lie inside the file."""
         if self.pos + n > self.size:
             raise TruncatedFileError(
                 f"needed {n} bytes at offset {self.pos}, file has {self.size}")
+
+    def _claim(self, n: int) -> None:
+        """Advance past the next n bytes."""
+        self._check_left(n)
         self.pos += n
 
     def take(self, n: int) -> bytes:
         self._claim(n)
-        return self.data[self.pos - n:self.pos]
+        out = self.f.read(n)
+        self._check_read(len(out), n)
+        return out
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -89,26 +94,21 @@ class _Reader:
         except UnicodeDecodeError as e:
             raise ModelFileError(f"{what} is not valid utf-8: {e}")
 
-
-class _FileReader(_Reader):
-    """The same reads straight from an open file, each checked against the
-    file's size (os.fstat) before it is made."""
-
-    def __init__(self, f):
-        self.f = f
-        self.pos = 0
-        self.size = os.fstat(f.fileno()).st_size
-
-    def take(self, n: int) -> bytes:
-        self._claim(n)
-        out = self.f.read(n)
-        self._check_read(len(out), n)
-        return out
-
     def read_into(self, arr: np.ndarray) -> None:
-        """Fill the C-contiguous arr with the next arr.nbytes bytes of the file."""
+        """Fill the C-contiguous, native-order arr with its values stored
+        little-endian in the next arr.nbytes bytes of the file."""
         self._claim(arr.nbytes)
         self._check_read(self.f.readinto(arr), arr.nbytes)
+        if sys.byteorder == "big":
+            arr.byteswap(inplace=True)
+
+    def read_array(self, shape: tuple, dtype) -> np.ndarray:
+        """A new array of shape and native dtype, filled by read_into; the
+        file must hold its bytes before it is allocated."""
+        self._check_left(math.prod(shape) * np.dtype(dtype).itemsize)
+        arr = np.empty(shape, dtype)
+        self.read_into(arr)
+        return arr
 
     def _check_read(self, got: int, n: int) -> None:
         """The file held fewer bytes than its size promised (it shrank)."""
@@ -129,8 +129,7 @@ def load_model(path):
             raise VersionMismatchError(
                 f"file version {version}, reader supports {VERSION}")
         cfg = parse_config(r.text("embedded config"))
-        wire = _wire_dtype(cfg)
-        payload = count_params(cfg) * wire.itemsize
+        payload = count_params(cfg) * cfg.dtype().itemsize
         left = r.size - r.pos
         if left < payload:
             raise TruncatedFileError(
@@ -146,8 +145,6 @@ def load_model(path):
                 raise ModelFileError(
                     f"tensor {path_name}: stored shape {shape} != expected {arr.shape}")
             r.read_into(arr)
-            if not wire.isnative:
-                arr.byteswap(inplace=True)
         if r.pos != r.size:
             raise ModelFileError(f"{r.size - r.pos} trailing bytes after last tensor")
     return params, cfg

@@ -7,6 +7,10 @@ per output stream reading the shared top hidden sequence. Exported memory-
 block sums (ptilde) chain into the next layer's skip input when that layer
 has its skip flag set.
 
+One layer loop serves two entry points: `forward` keeps every layer's cache
+for `backward`, and `infer` returns the same output bytes while holding at
+most two layer caches at a time (inference, validation and evaluation).
+
 Config documents are JSON. Either spell every layer out, or use the compact
 notation: "layers" as a string "Nc+Nd" (memory-block layer count + fc layer
 count) together with "order" as "N1,N2,s1,s2".
@@ -399,8 +403,8 @@ def build_network(cfg: NetworkConfig, seed: int) -> NetworkParams:
     for k, (cls, _, arr) in enumerate(iter_tensors(cfg, params)):
         if cls.endswith("weight"):
             rows, cols = arr.shape
-            arr[...] = seeded_normal(derive_seed(seed, k), rows, cols,
-                                     stddev=1.0 / np.sqrt(rows), dtype=arr.dtype)
+            seeded_normal(derive_seed(seed, k), rows, cols, stddev=1.0 / np.sqrt(rows),
+                          out=arr)
     return params
 
 
@@ -417,7 +421,6 @@ def count_params(cfg: NetworkConfig) -> int:
 class NetworkCache:
     cfg: NetworkConfig
     layer_caches: list
-    top_hidden: np.ndarray
     head_out: dict
     params: NetworkParams
 
@@ -425,26 +428,44 @@ class NetworkCache:
 def forward(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds=None) -> tuple:
     """Run the stack; returns ({stream: T x dim}, cache for backward). bounds
     lists the (start, end) rows of the sequences packed into input_seq."""
-    x = as_sequence(input_seq, dtype=cfg.dtype())
-    if x.shape[1] != cfg.input_dim:
-        raise ShapeError(f"input dim {x.shape[1]} != configured {cfg.input_dim}")
-    caches = []
-    prev_ptilde = None
-    h = x
+    caches = list(_layer_caches(params, cfg, input_seq, bounds))
+    head_out = _heads(params, cfg, caches[-1].out_seq)
+    return head_out, NetworkCache(cfg, caches, head_out, params)
+
+
+def infer(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds=None) -> dict:
+    """forward's outputs, byte for byte, without a cache for backward: each
+    layer's cache is dropped once the next layer has read it."""
+    for top in _layer_caches(params, cfg, input_seq, bounds):
+        pass
+    return _heads(params, cfg, top.out_seq)
+
+
+def _layer_caches(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds):
+    """Run the layers bottom to top, yielding each one's cache. A layer reads
+    its input, and a skip layer its skip sequence (ptilde), from the previous
+    layer's cache; validate_config makes that layer a memory-block layer."""
+    h = as_sequence(input_seq, dtype=cfg.dtype())
+    if h.shape[1] != cfg.input_dim:
+        raise ShapeError(f"input dim {h.shape[1]} != configured {cfg.input_dim}")
+    cache = None
     for spec, p in zip(cfg.layers, params.layers):
         if isinstance(spec, DfsmnLayerSpec):
-            skip_seq = prev_ptilde if spec.skip else None
-            h, cache, ptilde = L.dfsmn_layer_forward(h, p, spec, skip_seq, bounds=bounds)
-            prev_ptilde = ptilde
+            cache = L.dfsmn_layer_forward(h, p, spec, cache.ptilde_seq if spec.skip else None,
+                                          bounds=bounds)[1]
         else:
-            h, cache = L.fc_layer_forward(h, p.weight, p.bias, spec.activation)
-            prev_ptilde = None
-        caches.append(cache)
-    head_out = {}
+            cache = L.fc_layer_forward(h, p.weight, p.bias, spec.activation)[1]
+        h = cache.out_seq
+        yield cache
+
+
+def _heads(params: NetworkParams, cfg: NetworkConfig, top: np.ndarray) -> dict:
+    """{stream: act(top @ W + b)} over the top hidden sequence."""
+    out = {}
     for s in cfg.output_streams:
         hp = params.heads[s.name]
-        head_out[s.name] = L.activate(s.activation, L.affine(h, hp.weight, hp.bias))
-    return head_out, NetworkCache(cfg, caches, h, head_out, params)
+        out[s.name] = L.activate(s.activation, L.affine(top, hp.weight, hp.bias))
+    return out
 
 
 def backward(cache: NetworkCache, grad_streams: dict, lr: Optional[float] = None) -> tuple:
@@ -472,22 +493,23 @@ def backward(cache: NetworkCache, grad_streams: dict, lr: Optional[float] = None
 
     params = cache.params
     grads = NetworkParams(layers=[None] * len(cfg.layers))
-    grad_top = np.zeros_like(cache.top_hidden)
+    top = cache.layer_caches[-1].out_seq
+    grad_top = np.zeros_like(top)
     for s in cfg.output_streams:
         g = grad_streams[s.name]
         out = cache.head_out[s.name]
         if g.shape != out.shape:
             raise ShapeError(f"stream {s.name!r}: grad shape {g.shape} != {out.shape}")
-        dpre = g * L.activate_grad(s.activation, out)
         hp = params.heads[s.name]
-        hg = Affine(cache.top_hidden.T @ dpre, dpre.sum(axis=0))
-        grad_top += dpre @ hp.weight.T
+        g_top, *hg = L._affine_backward(g, top, hp.weight, s.activation, out)
+        grad_top += g_top
         if lr is None:
-            grads.heads[s.name] = hg
+            grads.heads[s.name] = Affine(*hg)
         else:
-            _sgd(hp, hg, lr)
+            _sgd(hp, Affine(*hg), lr)
+    del top, g_top, hg  # the top layer's backward frees its cache in update mode
     if lr is not None:
-        cache.head_out = cache.top_hidden = None
+        cache.head_out = None
 
     grad_h = grad_top
     pending_skip = None  # gradient owed to the previous layer's ptilde

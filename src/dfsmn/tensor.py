@@ -131,20 +131,28 @@ class Counter64:
 
 
 def seeded_normal(seed: int, rows: int, cols: int, stddev: float = 1.0,
-                  dtype=np.float64) -> np.ndarray:
+                  dtype=np.float64, out=None) -> np.ndarray:
     """Reproducible rows x cols zero-mean normal draw; same seed, same bits.
 
     Equal to (stddev * Counter64(seed).normal(rows * cols)).astype(dtype),
     drawn NORMAL_CHUNK values (whole Box-Muller pairs) at a time and written
-    straight into the result, so no fp64 temporary grows with the draw.
+    straight into the result, so no fp64 temporary grows with the draw. Given
+    out, a C-contiguous rows x cols array, the draw is written into it in its
+    own dtype and out is returned: filling a parameter allocates nothing of
+    its size.
     """
     if rows < 1 or cols < 1:
         raise ShapeError(f"matrix dims must be positive, got {rows}x{cols}")
     if stddev < 0:
         raise ValueError(f"stddev must be >= 0, got {stddev}")
-    out = np.empty(rows * cols, dtype=dtype)
+    if out is None:
+        out = np.empty((rows, cols), dtype=dtype)
+    elif out.shape != (rows, cols) or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-contiguous {rows}x{cols} array, "
+                         f"got shape {out.shape}")
+    flat = out.reshape(-1)
     rng = Counter64(seed)
-    for start in range(0, out.size, NORMAL_CHUNK):
-        chunk = out[start:start + NORMAL_CHUNK]
+    for start in range(0, flat.size, NORMAL_CHUNK):
+        chunk = flat[start:start + NORMAL_CHUNK]
         chunk[...] = stddev * rng.normal(chunk.size)
-    return out.reshape(rows, cols)
+    return out

@@ -3,6 +3,11 @@ verification and desk-scale experiment tooling around it: finite-difference
 gradient checking, a lagged-copy ("echo") task that probes whether a given
 receptive field can learn a dependency of known length, and a tiny four-stream
 acoustic toy for overfit sanity runs.
+
+Training steps run network.forward and the update mode of network.backward.
+Everything that only needs outputs (predict, and with it validation and
+evaluation, and grad_check's loss probes) runs network.infer, which keeps
+no cache for backward.
 """
 
 from __future__ import annotations
@@ -172,8 +177,7 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
                for k, s in enumerate(cfg.output_streams)}
 
     def loss_value() -> float:
-        outs, _ = net.forward(params, cfg, x)
-        loss, _ = multitask_mse(outs, targets)
+        loss, _ = multitask_mse(net.infer(params, cfg, x), targets)
         return loss
 
     outs, cache = net.forward(params, cfg, x)
@@ -380,12 +384,11 @@ def check_dataset(cfg: NetworkConfig, dataset) -> None:
 def predict(params, cfg, dataset) -> dict:
     """Network outputs of every sequence, concatenated per stream in dataset
     order. Sequences are forwarded in packed chunks of >= EVAL_FRAMES frames
-    with taps kept inside each sequence; only inputs are read."""
-    chunks = []
-    for batch in _batches(range(len(dataset)), dataset, EVAL_FRAMES):
-        outs, _ = net.forward(params, cfg, np.concatenate([seq.inputs for seq in batch]),
-                              bounds=_bounds(batch))
-        chunks.append(outs)
+    with taps kept inside each sequence and no cache for backward (network.infer);
+    only inputs are read."""
+    chunks = [net.infer(params, cfg, np.concatenate([seq.inputs for seq in batch]),
+                        bounds=_bounds(batch))
+              for batch in _batches(range(len(dataset)), dataset, EVAL_FRAMES)]
     return {s.name: np.concatenate([outs[s.name] for outs in chunks])
             for s in cfg.output_streams}
 

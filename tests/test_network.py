@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import test_acceptance
 from dfsmn import layers as L
 from dfsmn import network as net
 from dfsmn import features, model_io
@@ -24,7 +25,7 @@ from dfsmn.network import (ConfigError, DfsmnLayerSpec, FcLayerSpec, NetworkConf
                            StreamSpec, build_network, config_to_json, count_params,
                            expand_shorthand, iter_tensors, parse_config,
                            preset_config, zeros_network)
-from dfsmn.tensor import Counter64, ShapeError, derive_seed
+from dfsmn.tensor import NORMAL_CHUNK, Counter64, ShapeError, derive_seed
 
 
 def tiny_cfg(n_dfsmn=2, n_fc=1, n_back=1, n_ahead=1, s1=1, s2=1, skip=True,
@@ -311,6 +312,20 @@ class TestBuild:
         save_model(build_network(cfg, 7), cfg, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_weights_drawn_in_place(self):
+        # the largest weight (1536 x 1536, 9.4 MB) spans 18 draw chunks; a
+        # weight-sized temporary would pass the 6 MB slack
+        cfg = expand_shorthand("1+1", "1,1,1,1", input_dim=16, hidden=1536, proj=16)
+        assert 1536 * 1536 > 16 * NORMAL_CHUNK and 1536 * 1536 * 4 > 6 << 20
+        tracemalloc.start()
+        try:
+            params = build_network(cfg, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= count_params(cfg) * 4 + (6 << 20)
+        assert params.layers[1].weight.any()
+
     def test_precision_respected(self):
         p32 = build_network(tiny_cfg(precision="fp32"), 0)
         p64 = build_network(tiny_cfg(precision="fp64"), 0)
@@ -555,7 +570,7 @@ class TestEpilogue:
         cfg, params, rng = epilogue_net("fp32")
         outs, cache = net.forward(params, cfg, rng.normal(30).reshape(10, 3))
         assert [f.name for f in fields(cache)] == [
-            "cfg", "layer_caches", "top_hidden", "head_out", "params"]
+            "cfg", "layer_caches", "head_out", "params"]
         assert all(cache.head_out[a] is outs[a] for a in ACTS)
         for spec, lc in zip(cfg.layers, cache.layer_caches):
             arrays = {f.name for f in fields(lc)
@@ -563,6 +578,74 @@ class TestEpilogue:
             assert arrays == ({"h_seq", "p_seq", "ptilde_seq", "out_seq"}
                               if isinstance(spec, DfsmnLayerSpec)
                               else {"h_seq", "out_seq", "weight"})
+
+
+def infer_net(precision, orders):
+    """Three memory-block layers with skip connections and two fc layers;
+    every tensor drawn nonzero. orders (3, 2) walks the taps, (10, 8) runs
+    them as GEMMs."""
+    cfg = expand_shorthand("3+2", f"{orders[0]},{orders[1]},1,2", input_dim=5, hidden=6,
+                           proj=4, activation="tanh", precision=precision,
+                           output_streams=(StreamSpec("y", 2), StreamSpec("v", 1, "sigmoid")))
+    params = build_network(cfg, 31)
+    rng = Counter64(32)
+    for _, _, arr in iter_tensors(cfg, params):
+        arr[...] = 0.3 * rng.normal(arr.size).reshape(arr.shape)
+    return cfg, params, rng
+
+
+class TestInfer:
+    """network.infer: forward's outputs without a backward cache."""
+
+    @pytest.mark.parametrize("bounds", [None, [(0, 9), (9, 10), (10, 31), (31, 40)]],
+                             ids=["whole", "packed"])
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    @pytest.mark.parametrize("orders", [(3, 2), (10, 8), None], ids=["walk", "gemm", "mixed"])
+    def test_equals_forward_bytes(self, orders, precision, bounds):
+        if orders is None:
+            cfg, params, rng = epilogue_net(precision)
+        else:
+            cfg, params, rng = infer_net(precision, orders)
+            gemm = len(L._tap_offsets(cfg.layers[0])) >= L.GEMM_MIN_TAPS
+            assert gemm == (orders == (10, 8))
+        assert any(getattr(spec, "skip", False) for spec in cfg.layers)
+        x = rng.normal(40 * cfg.input_dim).reshape(40, cfg.input_dim)
+        want, _ = net.forward(params, cfg, x, bounds=bounds)
+        got = net.infer(params, cfg, x, bounds=bounds)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == cfg.dtype()
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("gemm", [False, True], ids=["walk", "gemm"])
+    @pytest.mark.parametrize("check", [
+        test_acceptance.TestCriterion2ReceptiveField().test_empirical_horizon_matches_analytic,
+        test_acceptance.TestCriterion9Causality().test_fifty_random_unidirectional_configs,
+    ], ids=["criterion2-horizon", "criterion9-causality"])
+    def test_acceptance_checks(self, check, gemm, monkeypatch):
+        # the checks call net.forward; run them on infer's outputs instead
+        monkeypatch.setattr(net, "forward", lambda *args, **kwargs: (
+            net.infer(*args, **kwargs), None))
+        if gemm:
+            monkeypatch.setattr(L, "GEMM_MIN_TAPS", 0)
+        check()
+
+    def test_peak_at_most_half_of_forward(self):
+        cfg = expand_shorthand("8+2", "2,2,1,1", input_dim=32, hidden=256, proj=64)
+        assert len(cfg.layers) == 10
+        params = build_network(cfg, 5)
+        x = Counter64(6).normal(400 * 32).reshape(400, 32).astype(np.float32)
+        peaks = {}
+        for name, run in (("forward", lambda: net.forward(params, cfg, x)[0]),
+                          ("infer", lambda: net.infer(params, cfg, x))):
+            tracemalloc.start()
+            try:
+                outs = run()
+                _, peaks[name] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert outs["mcep"].shape == (400, 60)
+        assert peaks["infer"] <= peaks["forward"] / 2, peaks
 
 
 class TestDataset:
@@ -819,6 +902,24 @@ class TestMalformedFiles:
         try:
             with pytest.raises(error, match=match):
                 load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_forged_feature_frames_rejected_within_1mb(self, tmp_path):
+        # a 2 MB payload whose header claims one frame more: a reader that
+        # held the file's bytes would pass 1 MB
+        path = tmp_path / "f.feat"
+        write_feature(path, "mcep", np.zeros((1024, 512), np.float32))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 8, 1025)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError,
+                               match=f"needed {1025 * 512 * 4} bytes at offset 24"):
+                read_feature(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -40,6 +40,21 @@ class TestSeededNormal:
         assert got.dtype == dtype and got.shape == (rows, cols)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_receives_the_same_bytes(self, dtype):
+        rows, cols = 3, NORMAL_CHUNK // 2 + 1   # two chunks
+        out = np.zeros((rows, cols), dtype)
+        got = seeded_normal(17, rows, cols, stddev=0.3, out=out)
+        assert got is out
+        assert out.tobytes() == seeded_normal(17, rows, cols, stddev=0.3,
+                                              dtype=dtype).tobytes()
+
+    @pytest.mark.parametrize("out", [np.zeros((4, 3)), np.zeros((6, 4))[:, :3]],
+                             ids=["shape", "strided"])
+    def test_out_must_be_contiguous_rows_by_cols(self, out):
+        with pytest.raises(ShapeError, match="C-contiguous 3x3"):
+            seeded_normal(1, 3, 3, out=out)
+
 
 class TestCounter64:
     def test_streams_reproducible(self):

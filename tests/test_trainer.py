@@ -155,7 +155,7 @@ class TestSgdStep:
         (returned, got_in), cache = backward_on(cfg, params, seqs, lr=lr)
         assert returned is params
         assert cache.layer_caches == [None] * len(cfg.layers)
-        assert cache.head_out is None and cache.top_hidden is None
+        assert cache.head_out is None
         for (_, path, got), (_, _, w) in zip(iter_tensors(cfg, params),
                                              iter_tensors(cfg, want)):
             assert got.dtype == cfg.dtype() and got.tobytes() == w.tobytes(), path
@@ -599,7 +599,7 @@ class TestPackedBatch:
 
     def test_one_forward_and_backward_per_batch(self, monkeypatch):
         cfg, params, seqs = packing_case()
-        calls = {"forward": 0, "backward": 0}
+        calls = {"forward": 0, "backward": 0, "infer": 0}
         for name in calls:
             real = getattr(net, name)
 
@@ -614,8 +614,22 @@ class TestPackedBatch:
         assert n_batches < len(seqs)
         n_chunks = len(list(trainer._batches(range(len(seqs)), seqs, trainer.EVAL_FRAMES)))
         train(cfg, params, seqs, tc)
-        # the per-epoch validation forwards one packed chunk at a time
-        assert calls == {"forward": n_batches + n_chunks, "backward": n_batches}
+        # the per-epoch validation runs the cache-free pass one packed chunk at a time
+        assert calls == {"forward": n_batches, "backward": n_batches, "infer": n_chunks}
+
+    def test_predict_never_calls_forward(self, monkeypatch):
+        # predict, and with it validation and dfsmn eval, builds no backward cache
+        cfg, params, seqs = packing_case()
+        self._small_eval_chunks(monkeypatch, seqs)
+        want = [net.forward(params, cfg, seq.inputs)[0] for seq in seqs]
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("predict called network.forward")
+        monkeypatch.setattr(net, "forward", no_forward)
+        got = trainer.predict(params, cfg, seqs)
+        for name, out in got.items():
+            assert rel_err(out, np.concatenate([w[name] for w in want])) <= 1e-10, name
+        evaluate_mse(params, cfg, seqs)
 
     def _small_eval_chunks(self, monkeypatch, seqs):
         monkeypatch.setattr(trainer, "EVAL_FRAMES", 5)
