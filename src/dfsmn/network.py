@@ -507,7 +507,7 @@ def backward(cache: NetworkCache, grad_streams: dict, lr: Optional[float] = None
             grads.heads[s.name] = Affine(*hg)
         else:
             _sgd(hp, Affine(*hg), lr)
-    del top, g_top, hg  # the top layer's backward frees its cache in update mode
+    del top, out, g_top, hg  # the top layer's backward frees its cache in update mode
     if lr is not None:
         cache.head_out = None
 

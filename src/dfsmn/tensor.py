@@ -131,22 +131,22 @@ class Counter64:
 
 
 def seeded_normal(seed: int, rows: int, cols: int, stddev: float = 1.0,
-                  dtype=np.float64, out=None) -> np.ndarray:
+                  out=None) -> np.ndarray:
     """Reproducible rows x cols zero-mean normal draw; same seed, same bits.
 
-    Equal to (stddev * Counter64(seed).normal(rows * cols)).astype(dtype),
+    Equal to (stddev * Counter64(seed).normal(rows * cols)).astype(out.dtype),
     drawn NORMAL_CHUNK values (whole Box-Muller pairs) at a time and written
-    straight into the result, so no fp64 temporary grows with the draw. Given
-    out, a C-contiguous rows x cols array, the draw is written into it in its
-    own dtype and out is returned: filling a parameter allocates nothing of
-    its size.
+    straight into the result, so no fp64 temporary grows with the draw. The
+    result is out, a C-contiguous rows x cols array whose dtype it keeps, or
+    a new fp64 array when out is None: filling a parameter allocates nothing
+    of its size.
     """
     if rows < 1 or cols < 1:
         raise ShapeError(f"matrix dims must be positive, got {rows}x{cols}")
     if stddev < 0:
         raise ValueError(f"stddev must be >= 0, got {stddev}")
     if out is None:
-        out = np.empty((rows, cols), dtype=dtype)
+        out = np.empty((rows, cols))
     elif out.shape != (rows, cols) or not out.flags.c_contiguous:
         raise ShapeError(f"out must be a C-contiguous {rows}x{cols} array, "
                          f"got shape {out.shape}")
