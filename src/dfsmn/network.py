@@ -536,7 +536,9 @@ def _layer_backward(spec: LayerSpec, lcache, grad_h: np.ndarray, pending_skip):
 
 
 def _sgd(group, grads, lr: float) -> None:
-    """p -= lr * g in place over the tensors of one parameter group."""
+    """p -= lr * g in place over the tensors of one parameter group. Each g is
+    scaled in place, which the caller allows by dropping the group after."""
     for f in fields(group):
-        p = getattr(group, f.name)
-        p -= lr * getattr(grads, f.name)
+        p, g = getattr(group, f.name), getattr(grads, f.name)
+        np.multiply(g, lr, out=g)
+        p -= g

@@ -1,6 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from dfsmn import tensor
+from dfsmn.network import build_network, expand_shorthand
 from dfsmn.tensor import (NORMAL_CHUNK, Counter64, ShapeError, as_sequence, derive_seed,
                           seeded_normal)
 
@@ -22,6 +27,11 @@ class TestSeededNormal:
     def test_negative_stddev_rejected(self):
         with pytest.raises(ValueError):
             seeded_normal(0, 2, 2, stddev=-1.0)
+
+    @pytest.mark.parametrize("stddev", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_stddev_rejected(self, stddev):
+        with pytest.raises(ValueError, match="finite"):
+            seeded_normal(0, 2, 2, stddev=stddev)
 
     def test_all_finite(self):
         assert np.all(np.isfinite(seeded_normal(9, 200, 50)))
@@ -46,6 +56,68 @@ class TestSeededNormal:
     def test_out_must_be_contiguous_rows_by_cols(self, out):
         with pytest.raises(ShapeError, match="C-contiguous 3x3"):
             seeded_normal(1, 3, 3, out=out)
+
+
+class TestThreadedDraw:
+    """seeded_normal splits a draw into pieces of NORMAL_CHUNK // workers
+    values (whole pairs) and fills them on worker threads; the bytes must not
+    depend on the worker count, the piece count or which thread drew what."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pieces,tail", [(0, 999), (3, 0), (3, 1001)],
+                             ids=["below-one-piece", "whole-pieces", "odd-tail"])
+    def test_equals_one_whole_draw(self, monkeypatch, workers, dtype, pieces, tail):
+        monkeypatch.setattr(tensor, "_draw_workers", lambda: workers)
+        n = pieces * (NORMAL_CHUNK // workers // 2 * 2) + tail
+        out = np.zeros((1, n), dtype)
+        got = seeded_normal(29, 1, n, stddev=0.7, out=out)
+        want = (0.7 * Counter64(29).normal(n)).astype(dtype)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
+    def test_concurrent_callers_get_their_own_seed(self, monkeypatch):
+        # three workers, more than a two-core host has, and frequent thread switches
+        monkeypatch.setattr(tensor, "_draw_workers", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        n = 3 * NORMAL_CHUNK + 1
+        seeds = (101, 202)
+        got = {}
+        start = threading.Barrier(len(seeds))
+
+        def draw(seed):
+            start.wait(timeout=30)
+            got[seed] = seeded_normal(seed, 1, n)
+
+        callers = [threading.Thread(target=draw, args=(s,)) for s in seeds]
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for s in seeds:
+            assert got[s].tobytes() == Counter64(s).normal(n).tobytes()
+
+    def test_no_thread_outlives_build_network(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_draw_workers", lambda: 2)
+        pools = []
+
+        class CountedPool(tensor.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(tensor, "ThreadPoolExecutor", CountedPool)
+        # the 512 x 512 hidden weight spans four pieces at two workers
+        cfg = expand_shorthand("1+1", "1,1,1,1", input_dim=16, hidden=512, proj=16)
+        before = threading.active_count()
+        build_network(cfg, 3)
+        assert pools, "no draw was split over threads"
+        assert threading.active_count() == before
 
 
 class TestCounter64:
