@@ -111,10 +111,26 @@ def _pooled_streams(dataset) -> dict:
             for n in names}
 
 
+def _paired(ref_set, hyp_set) -> list:
+    """hyp_set's sequences in ref_set's order, matched by seq_id; the id sets
+    and each id's frame count must agree."""
+    by_id = {seq.seq_id: seq for seq in hyp_set}
+    ref_ids = {seq.seq_id for seq in ref_set}
+    if by_id.keys() != ref_ids:
+        raise ValueError(f"hypothesis ids differ from reference: only in reference "
+                         f"{sorted(ref_ids - by_id.keys())}, only in hypothesis "
+                         f"{sorted(by_id.keys() - ref_ids)}")
+    unequal = [seq.seq_id for seq in ref_set if by_id[seq.seq_id].frames != seq.frames]
+    if unequal:
+        raise ValueError(f"hypothesis frame counts differ from reference for {unequal}")
+    return [by_id[seq.seq_id] for seq in ref_set]
+
+
 def cmd_eval(args) -> int:
     if args.hyp:
-        ref = _pooled_streams(load_dataset(args.data))
-        hyp = _pooled_streams(load_dataset(args.hyp))
+        ref_set = load_dataset(args.data)
+        ref = _pooled_streams(ref_set)
+        hyp = _pooled_streams(_paired(ref_set, load_dataset(args.hyp)))
     else:
         params, cfg = load_model(args.model)
         dataset = load_dataset(args.data)

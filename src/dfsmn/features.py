@@ -9,6 +9,8 @@ Feature file layout (little-endian uint32 fields):
     name    length-prefixed stream name (utf-8)
     payload T*D float32 values, row-major
 
+Magic and version are written and checked by model_io, as for model files.
+
 A dataset directory holds one file per sequence per stream, named
 "<id>.<stream>.feat", plus "manifest.txt" with one "<id><TAB><frames>" line
 per sequence. The network input stream is always called "input".
@@ -17,12 +19,11 @@ per sequence. The network input stream is always called "input".
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model_io import BadMagicError, ModelFileError, VersionMismatchError, _FileReader
+from .model_io import ModelFileError, _FileReader, _header
 
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
@@ -36,9 +37,7 @@ def write_feature(path, stream_name: str, data: np.ndarray) -> None:
         raise ValueError(f"feature payload must be T x D, got shape {arr.shape}")
     name_bytes = stream_name.encode("utf-8")
     with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<IIII", FEATURE_VERSION, arr.shape[0], arr.shape[1],
-                            len(name_bytes)))
+        f.write(_header(FEATURE_MAGIC, FEATURE_VERSION, *arr.shape, len(name_bytes)))
         f.write(name_bytes)
         f.write(arr.tobytes())
 
@@ -47,20 +46,10 @@ def read_feature(path):
     """Returns (stream_name, T x D float32 array). The file is read as a
     stream, and the payload size its header claims is checked against the
     file's length before the array is allocated."""
-    with open(path, "rb") as f:
-        r = _FileReader(f)
-        magic = r.take(4)
-        if magic != FEATURE_MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
-        version = r.u32()
-        if version != FEATURE_VERSION:
-            raise VersionMismatchError(
-                f"feature version {version}, reader supports {FEATURE_VERSION}")
+    with _FileReader.framed(path, FEATURE_MAGIC, FEATURE_VERSION) as r:
         frames, dim = r.u32(), r.u32()
         name = r.text("stream name")
         data = r.read_array((frames, dim), np.float32)
-        if r.pos != r.size:
-            raise ModelFileError(f"{r.size - r.pos} trailing bytes in feature file")
     return name, data
 
 
@@ -133,27 +122,17 @@ def load_dataset(dirpath):
                 break
     dataset = []
     for seq_id, frames in manifest:
-        prefix = f"{seq_id}."
-        streams = sorted(streams_of[seq_id])
-        if INPUT_STREAM not in streams:
+        if INPUT_STREAM not in streams_of[seq_id]:
             raise FileNotFoundError(f"{dirpath}: sequence {seq_id} has no input file")
-        in_name, inputs = read_feature(
-            os.path.join(dirpath, f"{prefix}{INPUT_STREAM}.feat"))
-        if in_name != INPUT_STREAM:
-            raise ModelFileError(
-                f"{prefix}{INPUT_STREAM}.feat: header stream {in_name!r} != 'input'")
-        targets = {}
-        for stream in streams:
-            if stream == INPUT_STREAM:
-                continue
-            name, data = read_feature(os.path.join(dirpath, f"{prefix}{stream}.feat"))
+        data = {}
+        for stream in sorted(streams_of[seq_id]):
+            fn = f"{seq_id}.{stream}.feat"
+            name, data[stream] = read_feature(os.path.join(dirpath, fn))
             if name != stream:
                 raise ModelFileError(
-                    f"{prefix}{stream}.feat: header stream {name!r} != filename stream")
-            targets[stream] = data
-        for stream, data in [(INPUT_STREAM, inputs), *targets.items()]:
-            if data.shape[0] != frames:
-                raise ValueError(
-                    f"{seq_id}.{stream}: {data.shape[0]} frames, manifest says {frames}")
-        dataset.append(SequenceData(seq_id, inputs, targets))
+                    f"{fn}: header stream {name!r} != filename stream {stream!r}")
+            got = len(data[stream])
+            if got != frames:
+                raise ValueError(f"{seq_id}.{stream}: {got} frames, manifest says {frames}")
+        dataset.append(SequenceData(seq_id, data.pop(INPUT_STREAM), data))
     return dataset

@@ -13,7 +13,9 @@ to the file, and loading reads each payload straight into its zero-filled
 tensor (no seeded init), so neither holds a second copy of the parameters.
 Every size a header claims is checked against the file's length before the
 read or allocation it would size. Round-trips are byte-exact: save(load(f))
-reproduces f bit for bit.
+reproduces f bit for bit. Feature files share the framing: `_header` writes
+the magic and version, `_FileReader.framed` checks them and that no byte is
+left over.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import os
 import struct
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -52,10 +55,15 @@ def save_model(params: NetworkParams, cfg: NetworkConfig, path) -> None:
     cfg_bytes = config_to_json(cfg).encode("utf-8")
     wire = cfg.dtype().newbyteorder("<")
     with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<II", VERSION, len(cfg_bytes)) + cfg_bytes)
+        f.write(_header(MAGIC, VERSION, len(cfg_bytes)) + cfg_bytes)
         for _, _, arr in iter_tensors(cfg, params):
             f.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
             f.write(np.ascontiguousarray(arr, dtype=wire).data)
+
+
+def _header(magic: bytes, version: int, *fields: int) -> bytes:
+    """A file's opening bytes: magic, then version and fields as u32s."""
+    return magic + struct.pack(f"<{1 + len(fields)}I", version, *fields)
 
 
 class _FileReader:
@@ -66,6 +74,23 @@ class _FileReader:
         self.f = f
         self.pos = 0
         self.size = os.fstat(f.fileno()).st_size
+
+    @classmethod
+    @contextmanager
+    def framed(cls, path, magic: bytes, version: int):
+        """A reader of path, which must open with magic and version; a block
+        that ends without error must have read the whole file."""
+        with open(path, "rb") as f:
+            r = cls(f)
+            got = r.take(len(magic))
+            if got != magic:
+                raise BadMagicError(f"bad magic {got!r}, expected {magic!r}")
+            got = r.u32()
+            if got != version:
+                raise VersionMismatchError(f"file version {got}, reader supports {version}")
+            yield r
+            if r.pos != r.size:
+                raise ModelFileError(f"{r.size - r.pos} trailing bytes at offset {r.pos}")
 
     def _check_left(self, n: int) -> None:
         """The next n bytes must lie inside the file."""
@@ -119,15 +144,7 @@ class _FileReader:
 
 def load_model(path):
     """Read a model file back; returns (params, cfg)."""
-    with open(path, "rb") as f:
-        r = _FileReader(f)
-        magic = r.take(4)
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version = r.u32()
-        if version != VERSION:
-            raise VersionMismatchError(
-                f"file version {version}, reader supports {VERSION}")
+    with _FileReader.framed(path, MAGIC, VERSION) as r:
         cfg = parse_config(r.text("embedded config"))
         payload = count_params(cfg) * cfg.dtype().itemsize
         left = r.size - r.pos
@@ -145,6 +162,4 @@ def load_model(path):
                 raise ModelFileError(
                     f"tensor {path_name}: stored shape {shape} != expected {arr.shape}")
             r.read_into(arr)
-        if r.pos != r.size:
-            raise ModelFileError(f"{r.size - r.pos} trailing bytes after last tensor")
     return params, cfg

@@ -27,7 +27,7 @@ from .network import DfsmnLayerSpec, NetworkConfig, NetworkParams, build_network
 from .tensor import Counter64, ShapeError, derive_seed, seeded_normal
 
 ECHO_STREAM = "echo"
-TOY_STREAMS = ("mcep", "lf0", "bap", "uv")
+TOY_DIMS = {"mcep": 6, "lf0": 3, "bap": 2, "uv": 1}  # acoustic_toy stream widths
 DECAY_FACTOR = 0.1  # lr multiplier on stalled validation
 EVAL_FRAMES = 512   # frames per packed forward in predict, as batch_frames' default
 GRADCHECK_SAMPLES = 20  # scalars probed per parameter class by grad_check
@@ -258,9 +258,9 @@ def _check_skip_gradient(cfg, cache, report, rng):
 class SyntheticTaskSpec:
     """Parameters of the generated datasets. kind "echo": white-noise input,
     single regression stream y[t] = x[t - lag] (zeros before the lag) plus
-    optional noise. kind "acoustic_toy": four reduced-size streams that are
-    fixed deterministic maps of the input frame, so a matching network can
-    drive the training loss to ~0."""
+    optional noise. kind "acoustic_toy": four reduced-size streams, of the
+    widths in TOY_DIMS, that are fixed deterministic maps of the input frame,
+    so a matching network can drive the training loss to ~0."""
 
     kind: str = "echo"
     input_dim: int = 1
@@ -269,17 +269,15 @@ class SyntheticTaskSpec:
     num_sequences: int = 16
     seq_len: int = 64
     valid_sequences: int = 0   # 0 -> max(1, num_sequences // 4)
-    mcep_dim: int = 6
-    lf0_dim: int = 3
-    bap_dim: int = 2
 
     def __post_init__(self):
         if self.kind not in ("echo", "acoustic_toy"):
             raise ValueError(f"unknown task kind {self.kind!r}")
+        for knob in ("num_sequences", "seq_len", "input_dim"):
+            if getattr(self, knob) < 1:
+                raise ValueError(f"{knob} must be >= 1, got {getattr(self, knob)}")
         if not (0 <= self.lag < self.seq_len):
             raise ValueError(f"lag must satisfy 0 <= lag < seq_len, got {self.lag}")
-        if self.num_sequences < 1 or self.seq_len < 1 or self.input_dim < 1:
-            raise ValueError("sequence counts and dims must be >= 1")
         if self.valid_sequences < 0:
             raise ValueError(f"valid_sequences must be >= 0, got {self.valid_sequences}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
@@ -313,15 +311,11 @@ def gen_echo_task(spec: SyntheticTaskSpec, seed: int):
     return train, valid
 
 
-def toy_stream_dims(spec: SyntheticTaskSpec) -> dict:
-    return {"mcep": spec.mcep_dim, "lf0": spec.lf0_dim, "bap": spec.bap_dim, "uv": 1}
-
-
 def _toy_maps(spec: SyntheticTaskSpec, seed: int) -> dict:
     scale = 1.0 / math.sqrt(spec.input_dim)
     return {name: seeded_normal(derive_seed(seed, 42, k), spec.input_dim, dim,
                                 stddev=scale)
-            for k, (name, dim) in enumerate(sorted(toy_stream_dims(spec).items()))}
+            for k, (name, dim) in enumerate(sorted(TOY_DIMS.items()))}
 
 
 def _toy_sequence(spec, maps, seq_seed, seq_id) -> SequenceData:
@@ -368,6 +362,8 @@ def check_dataset(cfg: NetworkConfig, dataset) -> None:
     if not dataset:
         raise ValueError("empty dataset")
     for seq in dataset:
+        if seq.frames == 0:
+            raise ShapeError(f"sequence {seq.seq_id}: no frames")
         if seq.inputs.shape[1] != cfg.input_dim:
             raise ShapeError(f"sequence {seq.seq_id}: input dim {seq.inputs.shape[1]} "
                              f"!= configured {cfg.input_dim}")

@@ -178,8 +178,7 @@ class TestCriterion6OverfitSanity:
     @pytest.mark.slow
     def test_toy_acoustic_overfit(self):
         spec = SyntheticTaskSpec(kind="acoustic_toy", input_dim=8,
-                                 num_sequences=10, seq_len=20,
-                                 mcep_dim=6, lf0_dim=3, bap_dim=2)
+                                 num_sequences=10, seq_len=20)
         train_set, _ = gen_acoustic_toy_task(spec, seed=0)
         streams = (StreamSpec("mcep", 6), StreamSpec("lf0", 3),
                    StreamSpec("bap", 2), StreamSpec("uv", 1, "sigmoid"))

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from dfsmn.cli import build_parser, main
-from dfsmn.features import read_feature, read_manifest
+from dfsmn.features import (SequenceData, read_feature, read_manifest, write_dataset,
+                            write_feature)
 from dfsmn.model_io import MAGIC, VERSION, save_model
 from dfsmn.network import build_network, config_to_json, expand_shorthand, parse_config
+from dfsmn.tensor import Counter64
 
 FP64_TANH_CONFIG = {
     "input_dim": 4,
@@ -148,7 +150,10 @@ class TestSynthdata:
                                                   "valid_sequences"),
                                                  ("--noise-std", "nan", "noise_std"),
                                                  ("--noise-std", "-1", "noise_std"),
-                                                 ("--noise-std", "inf", "noise_std")])
+                                                 ("--noise-std", "inf", "noise_std"),
+                                                 ("--len", "0", "seq_len"),
+                                                 ("--sequences", "0", "num_sequences"),
+                                                 ("--dim", "0", "input_dim")])
     def test_bad_knob_exits_2_before_writing(self, tmp_path, capsys, flag, value, knob):
         out = tmp_path / "d"
         assert main(["synthdata", "--sequences", "4", "--len", "8", "--out", str(out),
@@ -282,6 +287,54 @@ class TestTrainEval:
         assert "f0_rmse_hz 0" in out
         assert "bapd 0" in out
         assert "uv_error 0" in out
+
+    def _mcep_set(self, path, lengths):
+        """A dataset with one 3-dim mcep stream; each sequence's values
+        follow from its id and length alone."""
+        write_dataset(path, [
+            SequenceData(seq_id, np.zeros((n, 1), np.float32),
+                         {"mcep": Counter64(sum(map(ord, seq_id)) + n).normal(3 * n)
+                          .reshape(n, 3).astype(np.float32)})
+            for seq_id, n in lengths])
+        return str(path)
+
+    def test_eval_hyp_pairs_by_id(self, tmp_path, capsys):
+        ref = self._mcep_set(tmp_path / "ref", [("u0", 5), ("u1", 3)])
+        hyp = self._mcep_set(tmp_path / "hyp", [("u1", 3), ("u0", 5)])
+        assert main(["eval", "--data", ref, "--hyp", hyp]) == 0
+        out = capsys.readouterr().out
+        assert "total_mse 0\n" in out
+        assert "mcd_db 0\n" in out
+
+    @pytest.mark.parametrize("hyp_lengths,message", [
+        ([("u0", 5), ("x1", 3)], "only in reference ['u1'], only in hypothesis ['x1']"),
+        ([("u0", 3), ("u1", 5)], "frame counts differ from reference for ['u0', 'u1']"),
+    ], ids=["foreign-id", "swapped-lengths"])
+    def test_eval_hyp_unpaired_exits_2(self, tmp_path, capsys, hyp_lengths, message):
+        ref = self._mcep_set(tmp_path / "ref", [("u0", 5), ("u1", 3)])
+        hyp = self._mcep_set(tmp_path / "hyp", hyp_lengths)
+        assert main(["eval", "--data", ref, "--hyp", hyp]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("layer", [
+        ECHO_TRAIN_CONFIG["layers"][0],
+        {"type": "fc", "hidden": 8, "activation": "relu"}], ids=["memory-block", "fc-only"])
+    def test_train_zero_frame_sequence_exits_2(self, tmp_path, echo_data, capsys, layer):
+        train = echo_data / "train"
+        for stream in ("input", "echo"):
+            write_feature(train / f"empty.{stream}.feat", stream,
+                          np.zeros((0, 1), np.float32))
+        with open(train / "manifest.txt", "a") as f:
+            f.write("empty\t0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(ECHO_TRAIN_CONFIG, layers=[layer])))
+        model = tmp_path / "m.dfsmn"
+        assert main(["train", "--config", str(cfg), "--data", str(echo_data),
+                     "--out", str(model), "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == "error: sequence empty: no frames\n"
+        assert not model.exists()
 
     def test_eval_without_model_or_hyp_exits_2(self, capsys):
         assert main(["eval", "--data", "/tmp"]) == 2

@@ -696,6 +696,42 @@ class TestDataset:
         with pytest.raises(ValueError, match="manifest lists no sequences"):
             load_dataset(tmp_path)
 
+    def _two_streams(self, tmp_path):
+        """A one-sequence dataset "s0" of 4 frames with streams input and y."""
+        rng = Counter64(7)
+        write_dataset(tmp_path, [SequenceData("s0", rng.normal(8).reshape(4, 2)
+                                              .astype(np.float32),
+                                              {"y": np.zeros((4, 1), np.float32)})])
+
+    @pytest.mark.parametrize("stream", ["input", "y"])
+    def test_header_stream_mismatch_rejected(self, tmp_path, stream):
+        self._two_streams(tmp_path)
+        path = tmp_path / f"s0.{stream}.feat"
+        write_feature(path, "other", read_feature(path)[1])
+        with pytest.raises(ModelFileError, match=rf"s0\.{stream}\.feat: header stream "
+                                                 rf"'other' != filename stream '{stream}'"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("stream", ["input", "y"])
+    def test_frame_count_mismatch_rejected(self, tmp_path, stream):
+        self._two_streams(tmp_path)
+        path = tmp_path / f"s0.{stream}.feat"
+        write_feature(path, stream, read_feature(path)[1][:3])
+        with pytest.raises(ValueError, match=rf"s0\.{stream}: 3 frames, manifest says 4"):
+            load_dataset(tmp_path)
+
+
+def small_file(tmp_path, kind):
+    """A small valid model or feature file, and the loader that reads it."""
+    if kind == "model":
+        cfg = tiny_cfg(precision="fp32")
+        path = tmp_path / "m.dfsmn"
+        save_model(build_network(cfg, 0), cfg, path)
+        return path, load_model
+    path = tmp_path / "f.feat"
+    write_feature(path, "mcep", Counter64(1).normal(6).reshape(3, 2))
+    return path, read_feature
+
 
 class TestModelFile:
     def test_roundtrip_byte_identical(self, tmp_path):
@@ -721,25 +757,23 @@ class TestModelFile:
         assert np.array_equal(loaded.layers[0].proj_weight,
                               params.layers[0].proj_weight)
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "m.dfsmn"
-        cfg = tiny_cfg()
-        save_model(build_network(cfg, 0), cfg, path)
+    @pytest.mark.parametrize("kind", ["model", "feature"])
+    def test_bad_magic(self, tmp_path, kind):
+        path, load = small_file(tmp_path, kind)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
-        with pytest.raises(BadMagicError, match="bad magic"):
-            load_model(path)
+        with pytest.raises(BadMagicError, match="bad magic b'NOPE'"):
+            load(path)
 
-    def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "m.dfsmn"
-        cfg = tiny_cfg()
-        save_model(build_network(cfg, 0), cfg, path)
+    @pytest.mark.parametrize("kind", ["model", "feature"])
+    def test_version_mismatch(self, tmp_path, kind):
+        path, load = small_file(tmp_path, kind)
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatchError):
-            load_model(path)
+        with pytest.raises(VersionMismatchError, match="file version 99"):
+            load(path)
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "m.dfsmn"
@@ -750,13 +784,13 @@ class TestModelFile:
         with pytest.raises(TruncatedFileError):
             load_model(path)
 
-    def test_trailing_garbage(self, tmp_path):
-        path = tmp_path / "m.dfsmn"
-        cfg = tiny_cfg()
-        save_model(build_network(cfg, 0), cfg, path)
-        path.write_bytes(path.read_bytes() + b"xx")
-        with pytest.raises(ModelFileError):
-            load_model(path)
+    @pytest.mark.parametrize("kind", ["model", "feature"])
+    def test_trailing_garbage(self, tmp_path, kind):
+        path, load = small_file(tmp_path, kind)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"xx")
+        with pytest.raises(ModelFileError, match=f"2 trailing bytes at offset {len(raw)}"):
+            load(path)
 
     def test_flipped_ndim_names_the_tensor(self, tmp_path):
         path = tmp_path / "m.dfsmn"
@@ -851,21 +885,10 @@ def mutated(draw, raw: bytes) -> bytes:
 class TestMalformedFiles:
     """Damaged model and feature files load or raise one of LOADER_ERRORS."""
 
-    def _file(self, tmp_path, kind):
-        """A small valid file of the kind, and the loader that reads it."""
-        if kind == "model":
-            cfg = tiny_cfg(precision="fp32")
-            path = tmp_path / "m.dfsmn"
-            save_model(build_network(cfg, 0), cfg, path)
-            return path, load_model
-        path = tmp_path / "f.feat"
-        write_feature(path, "mcep", Counter64(1).normal(6).reshape(3, 2))
-        return path, read_feature
-
     @pytest.mark.parametrize("kind,offset,what", [("model", 12, "embedded config"),
                                                   ("feature", 20, "stream name")])
     def test_undecodable_text(self, tmp_path, kind, offset, what):
-        path, load = self._file(tmp_path, kind)
+        path, load = small_file(tmp_path, kind)
         raw = bytearray(path.read_bytes())
         raw[offset] = 0xFF  # first byte of the length-prefixed text
         path.write_bytes(bytes(raw))
@@ -940,7 +963,7 @@ class TestMalformedFiles:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_mutated_file_loads_or_raises_typed_error(self, tmp_path, kind, data):
-        path, load = self._file(tmp_path, kind)
+        path, load = small_file(tmp_path, kind)
         path.write_bytes(data.draw(mutated(path.read_bytes())))
         try:
             load(path)

@@ -343,8 +343,7 @@ class TestEchoTask:
 class TestAcousticToyTask:
     def test_stream_dims(self):
         spec = SyntheticTaskSpec(kind="acoustic_toy", input_dim=8,
-                                 num_sequences=2, seq_len=6,
-                                 mcep_dim=6, lf0_dim=3, bap_dim=2)
+                                 num_sequences=2, seq_len=6)
         train_set, valid_set = gen_acoustic_toy_task(spec, seed=0)
         seq = train_set[0]
         assert seq.targets["mcep"].shape == (6, 6)
