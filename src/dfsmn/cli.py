@@ -82,14 +82,14 @@ def cmd_synthdata(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config_arg(args)
-    train_set = load_dataset(os.path.join(args.data, "train"))
-    valid_dir = os.path.join(args.data, "valid")
-    valid_set = load_dataset(valid_dir) if os.path.isdir(valid_dir) else None
     tc = trainer.TrainConfig(batch_frames=args.batch_frames, lr=args.lr,
                              max_epochs=args.epochs, seed=args.seed,
                              min_improvement=args.min_improvement,
                              patience=args.patience)
+    cfg = _load_config_arg(args)
+    train_set = load_dataset(os.path.join(args.data, "train"))
+    valid_dir = os.path.join(args.data, "valid")
+    valid_set = load_dataset(valid_dir) if os.path.isdir(valid_dir) else None
     params = net.build_network(cfg, args.seed)
     params, history = trainer.train(cfg, params, train_set, tc, valid_set)
     save_model(params, cfg, args.out)
@@ -102,13 +102,6 @@ def cmd_train(args) -> int:
     print(f"trained {len(history)} epochs; final train_mse {final.train_mse:.6g} "
           f"valid_mse {final.valid_mse:.6g}; model written to {args.out}")
     return 0
-
-
-def _pooled_streams(dataset) -> dict:
-    """Concatenate each target stream over all sequences, in manifest order."""
-    names = sorted(dataset[0].targets)
-    return {n: np.concatenate([seq.targets[n] for seq in dataset], axis=0)
-            for n in names}
 
 
 def _paired(ref_set, hyp_set) -> list:
@@ -126,22 +119,23 @@ def _paired(ref_set, hyp_set) -> list:
     return [by_id[seq.seq_id] for seq in ref_set]
 
 
+def _all_streams(dataset) -> dict:
+    """Every target stream that any sequence carries, stacked in dataset order."""
+    names = set().union(*(seq.targets for seq in dataset))
+    return trainer.stack_targets(dataset, sorted(names))
+
+
 def cmd_eval(args) -> int:
     if args.hyp:
         ref_set = load_dataset(args.data)
-        ref = _pooled_streams(ref_set)
-        hyp = _pooled_streams(_paired(ref_set, load_dataset(args.hyp)))
+        ref = _all_streams(ref_set)
+        hyp = _all_streams(_paired(ref_set, load_dataset(args.hyp)))
     else:
         params, cfg = load_model(args.model)
         dataset = load_dataset(args.data)
-        ref = _pooled_streams(dataset)
-        missing = set(s.name for s in cfg.output_streams) - set(ref)
-        if missing:
-            print(f"error: data lacks reference stream(s) {sorted(missing)}",
-                  file=sys.stderr)
-            return 2
+        trainer.check_dataset(cfg, dataset)
         hyp = trainer.predict(params, cfg, dataset)
-        ref = {k: ref[k] for k in hyp}
+        ref = trainer.stack_targets(dataset, hyp, cfg.dtype())
 
     common = sorted(set(ref) & set(hyp))
     print(f"streams: {' '.join(common)}")

@@ -54,18 +54,18 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_frames < 1:
             raise ValueError(f"batch_frames must be >= 1, got {self.batch_frames}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if not math.isfinite(self.min_improvement):
+            raise ValueError(f"min_improvement must be finite, got {self.min_improvement}")
 
 
-def multitask_mse(pred_streams: dict, target_streams: dict):
-    """Sum of per-stream MSEs and its exact gradient.
-
-    loss = sum_s mean((pred_s - target_s)^2); grads have pred shapes.
-    """
+def multitask_mse(pred_streams: dict, target_streams: dict) -> float:
+    """Sum of per-stream MSEs: sum_s mean((pred_s - target_s)^2)."""
     if set(pred_streams) != set(target_streams):
         raise KeyError(f"stream names differ: {sorted(pred_streams)} vs "
                        f"{sorted(target_streams)}")
     loss = 0.0
-    grads = {}
     for name in pred_streams:
         pred = pred_streams[name]
         target = target_streams[name]
@@ -73,27 +73,30 @@ def multitask_mse(pred_streams: dict, target_streams: dict):
             raise ShapeError(f"stream {name!r}: pred {pred.shape} vs target {target.shape}")
         diff = pred - target
         loss += float(np.mean(diff * diff))
-        grads[name] = (2.0 / diff.size) * diff
-    return loss, grads
+    return loss
+
+
+def _mse_grad(pred_streams: dict, target_streams: dict) -> dict:
+    """multitask_mse's gradient in each prediction stream. Unchecked: its
+    callers build both sides from the network config."""
+    return {name: (2.0 / pred.size) * (pred - target_streams[name])
+            for name, pred in pred_streams.items()}
 
 
 @dataclass
 class LrScheduler:
-    """Decays lr by DECAY_FACTOR after `patience` consecutive validation
-    evaluations whose relative improvement over the best seen falls short of
-    min_improvement. At most one decay per evaluation."""
+    """Starts at config.lr and decays it by DECAY_FACTOR after
+    config.patience consecutive validation evaluations whose relative
+    improvement over the best seen falls short of config.min_improvement.
+    At most one decay per evaluation."""
 
-    lr: float
-    patience: int = 1
-    min_improvement: float = 0.005
+    config: TrainConfig
+    lr: float = field(init=False)
     best: Optional[float] = field(init=False, default=None)
     streak: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not math.isfinite(self.min_improvement):
-            raise ValueError(f"min_improvement must be finite, got {self.min_improvement}")
+        self.lr = self.config.lr
 
     def step(self, validation_mse: float) -> float:
         if not math.isfinite(validation_mse):
@@ -105,13 +108,13 @@ class LrScheduler:
             improvement = (self.best - validation_mse) / self.best
         else:
             improvement = math.inf if validation_mse < self.best else 0.0
-        if improvement >= self.min_improvement:
+        if improvement >= self.config.min_improvement:
             self.streak = 0
         else:
             self.streak += 1
         if validation_mse < self.best:
             self.best = validation_mse
-        if self.streak >= self.patience:
+        if self.streak >= self.config.patience:
             self.lr *= DECAY_FACTOR
             self.streak = 0
         return self.lr
@@ -177,12 +180,10 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
                for k, s in enumerate(cfg.output_streams)}
 
     def loss_value() -> float:
-        loss, _ = multitask_mse(net.infer(params, cfg, x), targets)
-        return loss
+        return multitask_mse(net.infer(params, cfg, x), targets)
 
     outs, cache = net.forward(params, cfg, x)
-    _, grad_streams = multitask_mse(outs, targets)
-    grads, grad_in = net.backward(cache, grad_streams)
+    grads, grad_in = net.backward(cache, _mse_grad(outs, targets))
 
     by_class: dict = {}
     for (_, _, p_arr), (cls, _, g_arr) in zip(net.iter_tensors(cfg, params),
@@ -368,9 +369,7 @@ def check_dataset(cfg: NetworkConfig, dataset) -> None:
             raise ShapeError(f"sequence {seq.seq_id}: input dim {seq.inputs.shape[1]} "
                              f"!= configured {cfg.input_dim}")
         for s in cfg.output_streams:
-            if s.name not in seq.targets:
-                raise ShapeError(f"sequence {seq.seq_id}: missing stream {s.name!r}")
-            got = seq.targets[s.name].shape
+            got = _stream(seq, s.name).shape
             want = (seq.frames, s.dim)
             if got != want:
                 raise ShapeError(f"sequence {seq.seq_id}: stream {s.name!r} shape "
@@ -391,8 +390,8 @@ def predict(params, cfg, dataset) -> dict:
 
 def evaluate_mse(params, cfg, dataset) -> float:
     """Frame-weighted multi-task MSE over a dataset."""
-    loss, _ = multitask_mse(predict(params, cfg, dataset), _targets(dataset, cfg))
-    return loss
+    pred = predict(params, cfg, dataset)
+    return multitask_mse(pred, stack_targets(dataset, pred, cfg.dtype()))
 
 
 def _bounds(batch) -> list:
@@ -401,16 +400,26 @@ def _bounds(batch) -> list:
     return list(zip([0] + ends[:-1], ends))
 
 
-def _targets(batch, cfg: NetworkConfig) -> dict:
-    """Each stream's targets stacked over batch, in cfg precision."""
-    return {s.name: np.concatenate([seq.targets[s.name] for seq in batch])
-            .astype(cfg.dtype(), copy=False) for s in cfg.output_streams}
+def _stream(seq: SequenceData, name: str) -> np.ndarray:
+    try:
+        return seq.targets[name]
+    except KeyError:
+        raise ShapeError(f"sequence {seq.seq_id}: missing stream {name!r}") from None
+
+
+def stack_targets(dataset, names, dtype=None) -> dict:
+    """Each named target stream stacked over dataset in its order, cast to
+    dtype if one is given. A sequence that lacks a stream raises ShapeError
+    naming both."""
+    return {name: np.concatenate([_stream(seq, name) for seq in dataset], dtype=dtype)
+            for name in names}
 
 
 def _pack(batch, cfg: NetworkConfig):
     """Sequences stacked into one frame matrix: (inputs, {stream: targets in
     cfg precision}, the (start, end) rows of each sequence)."""
-    return (np.concatenate([seq.inputs for seq in batch]), _targets(batch, cfg),
+    return (np.concatenate([seq.inputs for seq in batch]),
+            stack_targets(batch, [s.name for s in cfg.output_streams], cfg.dtype()),
             _bounds(batch))
 
 
@@ -437,8 +446,7 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
     validates on the training set. Returns (params, [EpochStats per epoch]).
     Deterministic in (seed, cfg, dataset).
     """
-    sched = LrScheduler(lr=train_cfg.lr, patience=train_cfg.patience,
-                        min_improvement=train_cfg.min_improvement)
+    sched = LrScheduler(train_cfg)
     check_dataset(cfg, dataset)
     if valid is not None and not valid:
         raise ValueError("empty validation set (pass None to validate on the training set)")
@@ -455,14 +463,14 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
             outs, cache = net.forward(params, cfg, inputs, bounds=bounds)
             batch_loss = 0.0
             for seq, (a, b) in zip(batch, bounds):
-                loss, _ = multitask_mse({n: o[a:b] for n, o in outs.items()},
-                                        {n: t[a:b] for n, t in targets.items()})
+                loss = multitask_mse({n: o[a:b] for n, o in outs.items()},
+                                     {n: t[a:b] for n, t in targets.items()})
                 if not math.isfinite(loss):
                     raise RuntimeError(
                         f"non-finite loss at epoch {epoch} batch {bi} "
                         f"(sequence {seq.seq_id})")
                 batch_loss += (b - a) / total_frames * loss
-            _, grad_streams = multitask_mse(outs, targets)
+            grad_streams = _mse_grad(outs, targets)
             # outs is cache.head_out, which the update releases with the
             # layer caches as backward walks down the stack
             del outs
@@ -470,6 +478,8 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
             epoch_loss += total_frames * batch_loss
         train_mse = epoch_loss / sum(seq.frames for seq in dataset)
         valid_mse = evaluate_mse(params, cfg, valid_set)
+        if not math.isfinite(valid_mse):
+            raise RuntimeError(f"non-finite validation MSE at epoch {epoch}")
         history.append(EpochStats(epoch, sched.lr, train_mse, valid_mse))
         sched.step(valid_mse)
     return params, history

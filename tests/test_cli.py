@@ -6,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from dfsmn import cli
+from dfsmn import network as net
 from dfsmn.cli import build_parser, main
 from dfsmn.features import (SequenceData, read_feature, read_manifest, write_dataset,
                             write_feature)
@@ -172,6 +174,15 @@ class TestSynthdata:
                     assert data.shape[0] == frames
 
 
+def _append_empty_sequence(split_dir):
+    """A 0-frame sequence "empty" added to an echo dataset directory."""
+    for stream in ("input", "echo"):
+        write_feature(split_dir / f"empty.{stream}.feat", stream,
+                      np.zeros((0, 1), np.float32))
+    with open(split_dir / "manifest.txt", "a") as f:
+        f.write("empty\t0\n")
+
+
 @pytest.fixture
 def echo_data(tmp_path):
     data = tmp_path / "echo"
@@ -232,7 +243,11 @@ class TestTrainEval:
                                                  ("--min-improvement", "nan",
                                                   "min_improvement")])
     def test_train_bad_knob_exits_2_before_writing(self, tmp_path, echo_data, capsys,
-                                                   flag, value, knob):
+                                                   monkeypatch, flag, value, knob):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("read data or built a network before checking knobs")
+        monkeypatch.setattr(cli, "load_dataset", unreachable)
+        monkeypatch.setattr(net, "build_network", unreachable)
         model = tmp_path / "m.dfsmn"
         assert main(["train", "--config", str(self._write_cfg(tmp_path)),
                      "--data", str(echo_data), "--out", str(model), flag, value]) == 2
@@ -272,7 +287,7 @@ class TestTrainEval:
         save_model(build_network(cfg, 0), cfg, str(model))
         assert main(["eval", "--model", str(model),
                      "--data", str(echo_data / "valid")]) == 2
-        assert capsys.readouterr().err == "error: data lacks reference stream(s) ['uv']\n"
+        assert capsys.readouterr().err == "error: sequence valid0000: missing stream 'uv'\n"
 
     def test_eval_identical_datasets_all_zero(self, tmp_path, capsys):
         data = tmp_path / "toy"
@@ -322,18 +337,55 @@ class TestTrainEval:
         ECHO_TRAIN_CONFIG["layers"][0],
         {"type": "fc", "hidden": 8, "activation": "relu"}], ids=["memory-block", "fc-only"])
     def test_train_zero_frame_sequence_exits_2(self, tmp_path, echo_data, capsys, layer):
-        train = echo_data / "train"
-        for stream in ("input", "echo"):
-            write_feature(train / f"empty.{stream}.feat", stream,
-                          np.zeros((0, 1), np.float32))
-        with open(train / "manifest.txt", "a") as f:
-            f.write("empty\t0\n")
+        _append_empty_sequence(echo_data / "train")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(ECHO_TRAIN_CONFIG, layers=[layer])))
         model = tmp_path / "m.dfsmn"
         assert main(["train", "--config", str(cfg), "--data", str(echo_data),
                      "--out", str(model), "--epochs", "1"]) == 2
         assert capsys.readouterr().err == "error: sequence empty: no frames\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("layer", [
+        ECHO_TRAIN_CONFIG["layers"][0],
+        {"type": "fc", "hidden": 8, "activation": "relu"}], ids=["memory-block", "fc-only"])
+    def test_eval_zero_frame_sequence_exits_2(self, tmp_path, echo_data, capsys, layer):
+        _append_empty_sequence(echo_data / "valid")
+        cfg = parse_config(json.dumps(dict(ECHO_TRAIN_CONFIG, layers=[layer])))
+        model = tmp_path / "m.dfsmn"
+        save_model(build_network(cfg, 0), cfg, str(model))
+        assert main(["eval", "--model", str(model),
+                     "--data", str(echo_data / "valid")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: sequence empty: no frames\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("seq_id,stream", [("train0000", "uv"), ("train0002", "bap")])
+    def test_eval_hyp_sequence_lacking_a_stream_exits_2(self, tmp_path, capsys,
+                                                         seq_id, stream):
+        # the stream set is every stream any sequence carries, not the first one's
+        data = tmp_path / "toy"
+        assert main(["synthdata", "--task", "acoustic_toy", "--dim", "4",
+                     "--sequences", "4", "--len", "10", "--out", str(data)]) == 0
+        (data / "train" / f"{seq_id}.{stream}.feat").unlink()
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data / "train"),
+                     "--hyp", str(data / "train")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: sequence {seq_id}: missing stream {stream!r}\n"
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_train_diverging_at_validation_exits_1(self, tmp_path, echo_data, capsys):
+        # one batch per epoch: its loss is computed before the update, so the
+        # first non-finite value is the validation MSE
+        model = tmp_path / "m.dfsmn"
+        assert main(["train", "--config", str(self._write_cfg(tmp_path)),
+                     "--data", str(echo_data), "--out", str(model),
+                     "--lr", "1e12", "--batch-frames", "100000"]) == 1
+        assert capsys.readouterr().err == ("failure: non-finite validation MSE "
+                                           "at epoch 0\n")
         assert not model.exists()
 
     def test_eval_without_model_or_hyp_exits_2(self, capsys):

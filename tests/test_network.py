@@ -458,14 +458,14 @@ class TestBackward:
         targets = {"y": Counter64(9).normal(12).reshape(6, 2),
                    "v": Counter64(10).normal(6).reshape(6, 1)}
 
-        from dfsmn.trainer import multitask_mse
+        from dfsmn.trainer import _mse_grad, multitask_mse
 
         def loss():
             outs, _ = net.forward(params, cfg, x)
-            return multitask_mse(outs, targets)[0]
+            return multitask_mse(outs, targets)
 
         outs, cache = net.forward(params, cfg, x)
-        _, gstreams = multitask_mse(outs, targets)
+        gstreams = _mse_grad(outs, targets)
         grads, _ = net.backward(cache, gstreams)
         step = 1e-5
         worst = 0.0
@@ -485,7 +485,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("fc_first", [True, False])
     def test_returns_input_gradient(self, fc_first):
-        from dfsmn.trainer import multitask_mse
+        from dfsmn.trainer import _mse_grad, multitask_mse
 
         fc = FcLayerSpec(hidden=4, activation="tanh")
         mb = DfsmnLayerSpec(hidden=4, proj=2, n_back=2, n_ahead=1, activation="tanh")
@@ -498,15 +498,15 @@ class TestBackward:
         x = rng.normal(18).reshape(6, 3)
         targets = {"y": rng.normal(12).reshape(6, 2)}
         outs, cache = net.forward(params, cfg, x)
-        _, grad_x = net.backward(cache, multitask_mse(outs, targets)[1])
+        _, grad_x = net.backward(cache, _mse_grad(outs, targets))
         assert grad_x.shape == x.shape
         step = 1e-6
         for i in range(x.size):
             old = x.flat[i]
             x.flat[i] = old + step
-            lp = multitask_mse(net.forward(params, cfg, x)[0], targets)[0]
+            lp = multitask_mse(net.forward(params, cfg, x)[0], targets)
             x.flat[i] = old - step
-            lm = multitask_mse(net.forward(params, cfg, x)[0], targets)[0]
+            lm = multitask_mse(net.forward(params, cfg, x)[0], targets)
             x.flat[i] = old
             numeric = (lp - lm) / (2 * step)
             assert abs(grad_x.flat[i] - numeric) <= 1e-6 * max(abs(numeric), 1e-3)

@@ -29,14 +29,14 @@ def tiny_cfg(**kw):
 
 class TestMultitaskMse:
     def test_perfect_prediction(self):
-        pred = {"a": np.ones((2, 2))}
-        loss, grads = multitask_mse(pred, {"a": np.ones((2, 2))})
+        pred, target = {"a": np.ones((2, 2))}, {"a": np.ones((2, 2))}
+        loss, grads = multitask_mse(pred, target), trainer._mse_grad(pred, target)
         assert loss == 0.0
         assert not grads["a"].any()
 
     def test_hand_case(self):
-        loss, grads = multitask_mse({"a": np.array([[2.0]])},
-                                    {"a": np.array([[0.0]])})
+        pred, target = {"a": np.array([[2.0]])}, {"a": np.array([[0.0]])}
+        loss, grads = multitask_mse(pred, target), trainer._mse_grad(pred, target)
         assert loss == 4.0
         assert grads["a"][0, 0] == 4.0
 
@@ -44,20 +44,25 @@ class TestMultitaskMse:
         rng = Counter64(0)
         pred = {"a": rng.normal(12).reshape(3, 4), "b": rng.normal(6).reshape(3, 2)}
         target = {"a": rng.normal(12).reshape(3, 4), "b": rng.normal(6).reshape(3, 2)}
-        _, grads = multitask_mse(pred, target)
+        grads = trainer._mse_grad(pred, target)
         step = 1e-6
         for name in pred:
             arr = pred[name]
             for i in range(arr.size):
                 old = arr.flat[i]
                 arr.flat[i] = old + step
-                lp, _ = multitask_mse(pred, target)
+                lp = multitask_mse(pred, target)
                 arr.flat[i] = old - step
-                lm, _ = multitask_mse(pred, target)
+                lm = multitask_mse(pred, target)
                 arr.flat[i] = old
                 numeric = (lp - lm) / (2 * step)
                 denom = max(abs(numeric), 1e-12)
                 assert abs(grads[name].flat[i] - numeric) / denom < 1e-6
+
+    def test_returns_a_float(self):
+        loss = multitask_mse({"a": np.ones((2, 2), np.float32)},
+                             {"a": np.zeros((2, 2), np.float32)})
+        assert type(loss) is float and loss == 1.0
 
     def test_missing_stream(self):
         with pytest.raises(KeyError):
@@ -103,7 +108,7 @@ def backward_on(cfg, params, seqs, lr=None):
     returns (backward's result, the spent cache)."""
     inputs, targets, bounds = trainer._pack(seqs, cfg)
     outs, cache = net.forward(params, cfg, inputs, bounds=bounds)
-    return net.backward(cache, multitask_mse(outs, targets)[1], lr=lr), cache
+    return net.backward(cache, trainer._mse_grad(outs, targets), lr=lr), cache
 
 
 class TestSgdStep:
@@ -192,7 +197,7 @@ class TestSgdStep:
 
 class TestLrScheduler:
     def test_improving_keeps_lr(self):
-        sched = LrScheduler(lr=0.1, patience=1, min_improvement=0.005)
+        sched = LrScheduler(TrainConfig(lr=0.1, patience=1, min_improvement=0.005))
         mse = 1.0
         for _ in range(6):
             assert sched.step(mse) == 0.1
@@ -200,26 +205,26 @@ class TestLrScheduler:
         assert sched.lr == 0.1
 
     def test_flat_twice_decays_once(self):
-        sched = LrScheduler(lr=0.1, patience=1)
+        sched = LrScheduler(TrainConfig(lr=0.1, patience=1))
         sched.step(1.0)
         new_lr = sched.step(1.0)
         assert new_lr == pytest.approx(0.01)
 
     def test_at_most_one_decay_per_evaluation(self):
-        sched = LrScheduler(lr=1.0, patience=1)
+        sched = LrScheduler(TrainConfig(lr=1.0, patience=1))
         sched.step(1.0)
         lrs = [sched.step(1.0) for _ in range(3)]
         assert lrs == pytest.approx([0.1, 0.01, 0.001])
 
     def test_patience_two_needs_two_bad_evals(self):
-        sched = LrScheduler(lr=1.0, patience=2)
+        sched = LrScheduler(TrainConfig(lr=1.0, patience=2))
         sched.step(1.0)
         assert sched.step(1.0) == 1.0      # first stall
         assert sched.step(1.0) == 0.1      # second stall decays
         assert sched.step(0.5) == 0.1      # big improvement resets
 
     def test_insufficient_improvement_counts_as_stall(self):
-        sched = LrScheduler(lr=1.0, patience=1, min_improvement=0.01)
+        sched = LrScheduler(TrainConfig(lr=1.0, patience=1, min_improvement=0.01))
         sched.step(1.0)
         assert sched.step(0.9999) == 0.1   # 0.01% is not enough
 
@@ -228,10 +233,10 @@ class TestLrScheduler:
                                                 "min_improvement must be finite")])
     def test_rejects_bad_knobs_when_built(self, knobs, message):
         with pytest.raises(ValueError, match=message):
-            LrScheduler(lr=1.0, **knobs)
+            LrScheduler(TrainConfig(lr=1.0, **knobs))
 
     def test_rejects_non_finite(self):
-        sched = LrScheduler(lr=0.1)
+        sched = LrScheduler(TrainConfig(lr=0.1))
         with pytest.raises(ValueError):
             sched.step(float("nan"))
 
@@ -453,7 +458,7 @@ class TestTrainLoop:
         big_in = np.concatenate([s.inputs for s in seqs])
         big_tgt = np.concatenate([s.targets[ECHO_STREAM] for s in seqs])
         outs, _ = net.forward(params, cfg, big_in)
-        pooled, _ = multitask_mse(outs, {ECHO_STREAM: big_tgt})
+        pooled = multitask_mse(outs, {ECHO_STREAM: big_tgt})
         assert abs(weighted - pooled) / pooled < 1e-10
 
     def test_empty_dataset_rejected(self):
@@ -522,7 +527,7 @@ class TestPackedBatch:
         inputs, targets, bounds = trainer._pack(seqs, cfg)
         assert bounds == [(0, 6), (6, 7), (7, 11), (11, 22)]
         outs, cache = net.forward(params, cfg, inputs, bounds=bounds)
-        loss, grad_streams = multitask_mse(outs, targets)
+        loss, grad_streams = multitask_mse(outs, targets), trainer._mse_grad(outs, targets)
         packed, _ = net.backward(cache, grad_streams)
 
         total = len(inputs)
@@ -530,7 +535,8 @@ class TestPackedBatch:
         want = net.zeros_network(cfg)
         for seq in seqs:
             s_outs, s_cache = net.forward(params, cfg, seq.inputs)
-            s_loss, s_grads = multitask_mse(s_outs, seq.targets)
+            s_loss = multitask_mse(s_outs, seq.targets)
+            s_grads = trainer._mse_grad(s_outs, seq.targets)
             scale = seq.frames / total
             want_loss += scale * s_loss
             s_grads, _ = net.backward(s_cache, s_grads)
@@ -559,7 +565,7 @@ class TestPackedBatch:
                 acc = net.zeros_network(cfg)
                 for seq in batch:
                     outs, cache = net.forward(want, cfg, seq.inputs)
-                    _, grads = multitask_mse(outs, seq.targets)
+                    grads = trainer._mse_grad(outs, seq.targets)
                     grads, _ = net.backward(cache, grads)
                     for (_, _, a), (_, _, g) in zip(iter_tensors(cfg, acc),
                                                     iter_tensors(cfg, grads)):
@@ -616,6 +622,32 @@ class TestPackedBatch:
         # the per-epoch validation runs the cache-free pass one packed chunk at a time
         assert calls == {"forward": n_batches, "backward": n_batches, "infer": n_chunks}
 
+    def test_gradient_made_once_per_batch_and_grad_check(self, monkeypatch):
+        # per-sequence losses, validation, predict and grad_check's probes
+        # compute losses alone; only the two backward passes make a gradient
+        cfg, params, seqs = packing_case()
+        calls = []
+        real = trainer._mse_grad
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(trainer, "_mse_grad", counted)
+        tc = TrainConfig(batch_frames=8, lr=0.05, max_epochs=2, seed=3)
+        n_batches = 0
+        for epoch in range(tc.max_epochs):
+            order = list(range(len(seqs)))
+            Counter64(derive_seed(tc.seed, epoch)).shuffle(order)
+            n_batches += len(list(trainer._batches(order, seqs, tc.batch_frames)))
+        train(cfg, params, seqs, tc)
+        assert len(calls) == n_batches
+        calls.clear()
+        evaluate_mse(params, cfg, seqs)
+        trainer.predict(params, cfg, seqs)
+        assert calls == []
+        grad_check(tiny_cfg(), frames=5, seed=0)
+        assert len(calls) == 1
+
     def test_predict_never_calls_forward(self, monkeypatch):
         # predict, and with it validation and dfsmn eval, builds no backward cache
         cfg, params, seqs = packing_case()
@@ -649,7 +681,7 @@ class TestPackedBatch:
         cfg, params, seqs = packing_case()
         self._small_eval_chunks(monkeypatch, seqs)
         want = sum(seq.frames * multitask_mse(net.forward(params, cfg, seq.inputs)[0],
-                                              seq.targets)[0]
+                                              seq.targets)
                    for seq in seqs) / sum(seq.frames for seq in seqs)
         got = evaluate_mse(params, cfg, seqs)
         assert abs(got - want) <= 1e-10 * want
