@@ -24,7 +24,10 @@ import json
 import os
 import sys
 
+from dfsmn import trainer
 from dfsmn.cli import main as dfsmn
+
+SEED = 0  # toy_other, the --hyp side of eval --hyp, is drawn from SEED + 1
 
 
 def mb_layer(n_back, n_ahead, skip, hidden=16, proj=8):
@@ -33,8 +36,8 @@ def mb_layer(n_back, n_ahead, skip, hidden=16, proj=8):
             "activation": "relu"}
 
 
-TOY_STREAMS = [{"name": "bap", "dim": 2}, {"name": "lf0", "dim": 3},
-               {"name": "mcep", "dim": 6}, {"name": "uv", "dim": 1, "activation": "sigmoid"}]
+TOY_STREAMS = [dict(name=n, dim=d, **({"activation": "sigmoid"} if n == "uv" else {}))
+               for n, d in sorted(trainer.TOY_DIMS.items())]
 TOY_DIM = 5
 
 NETS = {  # name -> (n_back, n_ahead) of both memory-block layers
@@ -81,14 +84,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="directory for the artifacts")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
     def out(name):
         return os.path.join(args.out, name)
 
-    seed = str(args.seed)
+    seed = str(SEED)
     artifacts = []
 
     run(["synthdata", "--task", "echo", "--lag", "3", "--dim", "2", "--noise-std", "0.1",
@@ -96,7 +98,7 @@ def main(argv=None) -> int:
     toy = ["synthdata", "--task", "acoustic_toy", "--dim", str(TOY_DIM),
            "--sequences", "8", "--len", "40"]
     run(toy + ["--seed", seed, "--out", out("toy")])
-    run(toy + ["--seed", str(args.seed + 1), "--out", out("toy_other")])
+    run(toy + ["--seed", str(SEED + 1), "--out", out("toy_other")])
     artifacts += ["echo", "toy", "toy_other"]
 
     for name, (n_back, n_ahead) in NETS.items():
