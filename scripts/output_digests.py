@@ -4,13 +4,18 @@
 Runs, in process and in a few seconds: echo and acoustic_toy `synthdata`;
 `train` of a per-tap-walk net (orders 3,2) and a GEMM-path net (orders
 10,8) on the toy set, each with its history; `gradcheck` of an fp64 config;
-and `eval --model` (both nets) and `eval --hyp` (two toy sets drawn from
-different seeds). Every artifact is written under --out and its digest is
-printed as "<sha256>  <artifact>", so two runs compare with `diff`.
+`eval --model` (both nets) and `eval --hyp` (two toy sets drawn from
+different seeds); and one full-width artifact, a preset-E packed forward
+and backward whose per-tensor digests show GEMM and blocking effects that
+the toy nets are too small to reach. Every artifact is written under --out
+and its digest is printed as "<sha256>  <artifact>", after a first line
+giving the BLAS thread count in effect, so two runs compare with `diff`.
 
-The digests depend on the BLAS build and CPU, so compare runs made on one
-machine, for example a checkout against a copy of its parent commit:
+The digests depend on the BLAS build, its thread count and the CPU, so
+compare runs made on one machine at one thread count, for example a
+checkout against a copy of its parent commit:
 
+    export OPENBLAS_NUM_THREADS=1
     PYTHONPATH=src python scripts/output_digests.py --out /tmp/new > new.txt
     PYTHONPATH=/path/to/parent/src python scripts/output_digests.py \\
         --out /tmp/old > old.txt
@@ -24,10 +29,18 @@ import json
 import os
 import sys
 
-from dfsmn import trainer
+import numpy as np
+
+from dfsmn import network, trainer
 from dfsmn.cli import main as dfsmn
+from dfsmn.tensor import derive_seed, seeded_normal
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import stamp  # noqa: E402  (perfbench's environment stamp)
 
 SEED = 0  # toy_other, the --hyp side of eval --hyp, is drawn from SEED + 1
+FULL_WIDTH_LENGTHS = (400, 300)  # frames of the two packed preset-E sequences
 
 
 def mb_layer(n_back, n_ahead, skip, hidden=16, proj=8):
@@ -62,6 +75,34 @@ def run(argv, stdout_path=os.devnull) -> None:
         code = dfsmn(argv)
     if code != 0:
         sys.exit(f"dfsmn {' '.join(argv)} exited {code}")
+
+
+def full_width(path) -> None:
+    """Preset E at full width, taps drawn nonzero: one forward of two packed
+    sequences and the backward of seeded output gradients. Writes one line
+    "<sha256>  <tensor> <shape>" per head output, parameter gradient and the
+    input gradient."""
+    cfg = network.preset_config("E")
+    params = network.build_network(cfg, SEED)
+    for k, (cls, _, arr) in enumerate(network.iter_tensors(cfg, params)):
+        if cls.endswith("taps") and arr.size:
+            seeded_normal(derive_seed(SEED, 1, k), *arr.shape, stddev=0.1, out=arr)
+    frames = sum(FULL_WIDTH_LENGTHS)
+    bounds = [(0, FULL_WIDTH_LENGTHS[0]), (FULL_WIDTH_LENGTHS[0], frames)]
+
+    def draw(stream, cols):
+        return seeded_normal(derive_seed(SEED, 2, stream), frames, cols,
+                             out=np.empty((frames, cols), cfg.dtype()))
+    outs, cache = network.forward(params, cfg, draw(0, cfg.input_dim), bounds=bounds)
+    tensors = [(f"out.{name}", arr) for name, arr in sorted(outs.items())]
+    grads, grad_in = network.backward(cache, {s.name: draw(k + 1, s.dim) for k, s
+                                              in enumerate(cfg.output_streams)})
+    tensors += [(f"grad.{p}", arr) for _, p, arr in network.iter_tensors(cfg, grads)]
+    tensors.append(("grad.input", grad_in))
+    with open(path, "w") as f:
+        for name, arr in tensors:
+            f.write(f"{hashlib.sha256(arr.tobytes()).hexdigest()}  {name} "
+                    f"{'x'.join(map(str, arr.shape))}\n")
 
 
 def digest(path) -> str:
@@ -121,8 +162,10 @@ def main(argv=None) -> int:
          "--seed", seed], out("gradcheck.txt"))
     run(["eval", "--data", out("toy/train"), "--hyp", out("toy_other/train")],
         out("eval_hyp.txt"))
-    artifacts += ["gradcheck.txt", "eval_hyp.txt"]
+    full_width(out("full_width_e.txt"))
+    artifacts += ["gradcheck.txt", "eval_hyp.txt", "full_width_e.txt"]
 
+    print(f"# blas_threads {stamp.environment(ROOT, SEED)['blas_threads']}")
     for name in artifacts:
         print(f"{digest(out(name))}  {name}")
     return 0

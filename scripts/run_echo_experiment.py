@@ -11,19 +11,8 @@ import argparse
 import sys
 
 from dfsmn.analysis import receptive_field
-from dfsmn.network import DfsmnLayerSpec, NetworkConfig, StreamSpec, build_network
-from dfsmn.trainer import (ECHO_STREAM, SyntheticTaskSpec, TrainConfig,
-                           gen_echo_task, train)
-
-
-def echo_net(order, stride, depth, hidden=16, proj=8):
-    layers = tuple(DfsmnLayerSpec(hidden=hidden, proj=proj, n_back=order,
-                                  n_ahead=0, stride_back=stride, stride_ahead=1,
-                                  skip=(i > 0), activation="relu")
-                   for i in range(depth))
-    return NetworkConfig(input_dim=1, layers=layers,
-                         output_streams=(StreamSpec(ECHO_STREAM, 1),),
-                         precision="fp32")
+from dfsmn.network import build_network
+from dfsmn.trainer import SyntheticTaskSpec, TrainConfig, echo_net, gen_echo_task, train
 
 
 def main(argv=None) -> int:

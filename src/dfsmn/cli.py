@@ -71,8 +71,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_synthdata(args) -> int:
     spec = trainer.SyntheticTaskSpec(
         kind=args.task, input_dim=args.dim, lag=args.lag,
-        noise_std=args.noise_std, num_sequences=args.sequences,
-        seq_len=args.len, valid_sequences=args.valid_sequences)
+        noise_std=args.noise_std, num_sequences=args.sequences, seq_len=args.len)
     train_set, valid_set = trainer.gen_task(spec, args.seed)
     write_dataset(os.path.join(args.out, "train"), train_set)
     write_dataset(os.path.join(args.out, "valid"), valid_set)
@@ -104,32 +103,41 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _paired(ref_set, hyp_set) -> list:
-    """hyp_set's sequences in ref_set's order, matched by seq_id; the id sets
-    and each id's frame count must agree."""
+def _paired_streams(ref_set, hyp_dir) -> tuple:
+    """(ref, hyp) for eval --hyp: the streams both datasets carry, stacked in
+    ref_set's order with hyp_dir's sequences paired by seq_id. Ids, frame
+    counts and stream widths must agree and every sequence must carry every
+    scored stream; a fault of the hypothesis set names hyp_dir."""
+    hyp_set = load_dataset(hyp_dir)
     by_id = {seq.seq_id: seq for seq in hyp_set}
     ref_ids = {seq.seq_id for seq in ref_set}
     if by_id.keys() != ref_ids:
-        raise ValueError(f"hypothesis ids differ from reference: only in reference "
-                         f"{sorted(ref_ids - by_id.keys())}, only in hypothesis "
-                         f"{sorted(by_id.keys() - ref_ids)}")
+        raise ValueError(f"hypothesis {hyp_dir}: ids differ from reference: only in "
+                         f"reference {sorted(ref_ids - by_id.keys())}, only in "
+                         f"hypothesis {sorted(by_id.keys() - ref_ids)}")
     unequal = [seq.seq_id for seq in ref_set if by_id[seq.seq_id].frames != seq.frames]
     if unequal:
-        raise ValueError(f"hypothesis frame counts differ from reference for {unequal}")
-    return [by_id[seq.seq_id] for seq in ref_set]
-
-
-def _all_streams(dataset) -> dict:
-    """Every target stream that any sequence carries, stacked in dataset order."""
-    names = set().union(*(seq.targets for seq in dataset))
-    return trainer.stack_targets(dataset, sorted(names))
+        raise ValueError(f"hypothesis {hyp_dir}: frame counts differ from reference "
+                         f"for {unequal}")
+    names = sorted(set().union(*(seq.targets for seq in ref_set))
+                   & set().union(*(seq.targets for seq in hyp_set)))
+    ref = trainer.stack_targets(ref_set, names)
+    hyp_seqs = [by_id[seq.seq_id] for seq in ref_set]
+    for ref_seq, hyp_seq in zip(ref_set, hyp_seqs):
+        where = f"hypothesis {hyp_dir}: sequence {hyp_seq.seq_id}"
+        for name in names:
+            if name not in hyp_seq.targets:
+                raise ShapeError(f"{where}: missing stream {name!r}")
+            got, want = hyp_seq.targets[name].shape[1], ref_seq.targets[name].shape[1]
+            if got != want:
+                raise ShapeError(f"{where}: stream {name!r} is {got} wide, "
+                                 f"the reference {want}")
+    return ref, trainer.stack_targets(hyp_seqs, names)
 
 
 def cmd_eval(args) -> int:
     if args.hyp:
-        ref_set = load_dataset(args.data)
-        ref = _all_streams(ref_set)
-        hyp = _all_streams(_paired(ref_set, load_dataset(args.hyp)))
+        ref, hyp = _paired_streams(load_dataset(args.data), args.hyp)
     else:
         params, cfg = load_model(args.model)
         dataset = load_dataset(args.data)
@@ -137,12 +145,15 @@ def cmd_eval(args) -> int:
         hyp = trainer.predict(params, cfg, dataset)
         ref = trainer.stack_targets(dataset, hyp, cfg.dtype())
 
-    common = sorted(set(ref) & set(hyp))
+    common = sorted(hyp)
     print(f"streams: {' '.join(common)}")
-    print(f"total_mse {metrics.total_mse({k: ref[k] for k in common}, {k: hyp[k] for k in common}):.6g}")
+    print(f"total_mse {metrics.total_mse(ref, hyp):.6g}")
 
-    if "mcep" in common and ref["mcep"].shape[1] >= 2:
-        print(f"mcd_db {metrics.mcd(ref['mcep'], hyp['mcep']):.6g}")
+    if "mcep" in common:
+        try:
+            print(f"mcd_db {metrics.mcd(ref['mcep'], hyp['mcep']):.6g}")
+        except ShapeError as e:
+            print(f"mcd_db skipped ({e})")
     else:
         print("mcd_db skipped (no mcep stream)")
     if "lf0" in common and "uv" in common:
@@ -167,6 +178,9 @@ def cmd_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The dfsmn command line; a flag for a TrainConfig or SyntheticTaskSpec
+    field, or a grad_check knob, takes its default from there."""
+    train_cfg, task = trainer.TrainConfig, trainer.SyntheticTaskSpec
     parser = argparse.ArgumentParser(
         prog="dfsmn",
         description="memory-network acoustic models: analysis, training, metrics")
@@ -185,19 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="fp64 JSON config file")
     p.add_argument("--frames", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--step", type=float, default=trainer.GRADCHECK_STEP)
+    p.add_argument("--tol", type=float, default=trainer.GRADCHECK_TOL)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synthdata", help="generate a deterministic synthetic dataset")
-    p.add_argument("--task", choices=["echo", "acoustic_toy"], default="echo")
-    p.add_argument("--lag", type=int, default=0)
-    p.add_argument("--dim", type=int, default=1, help="input feature dim")
-    p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--sequences", type=int, default=16)
-    p.add_argument("--valid-sequences", type=int, default=0,
-                   help="0 means num_sequences // 4")
-    p.add_argument("--len", type=int, default=64)
+    p.add_argument("--task", choices=trainer.TASK_KINDS, default=task.kind)
+    p.add_argument("--lag", type=int, default=task.lag)
+    p.add_argument("--dim", type=int, default=task.input_dim, help="input feature dim")
+    p.add_argument("--noise-std", type=float, default=task.noise_std)
+    p.add_argument("--sequences", type=int, default=task.num_sequences)
+    p.add_argument("--len", type=int, default=task.seq_len)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synthdata)
@@ -208,12 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--config")
     p.add_argument("--data", required=True, help="directory with train/ and valid/")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-frames", type=int, default=512)
-    p.add_argument("--min-improvement", type=float, default=0.005)
-    p.add_argument("--patience", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=train_cfg.lr)
+    p.add_argument("--epochs", type=int, default=train_cfg.max_epochs)
+    p.add_argument("--batch-frames", type=int, default=train_cfg.batch_frames)
+    p.add_argument("--min-improvement", type=float, default=train_cfg.min_improvement)
+    p.add_argument("--patience", type=int, default=train_cfg.patience)
+    p.add_argument("--seed", type=int, default=train_cfg.seed)
     p.add_argument("--history", help="history file (default MODEL.history)")
     p.set_defaults(func=cmd_train)
 

@@ -18,7 +18,8 @@ def mcd(ref_mcep, hyp_mcep) -> float:
     """Mean mel-cepstral distortion in dB, energy coefficient (dim 0) excluded."""
     ref, hyp = _paired(ref_mcep, hyp_mcep)
     if ref.shape[1] < 2:
-        raise ShapeError("mcd needs at least 2 cepstral dims (dim 0 is excluded)")
+        raise ShapeError(f"mcd needs at least 2 cepstral dims (dim 0 is excluded), "
+                         f"got {ref.shape[1]}")
     diff = ref[:, 1:] - hyp[:, 1:]
     return float(np.mean(MCD_DB * np.sqrt(2.0 * np.sum(diff * diff, axis=1))))
 

@@ -31,6 +31,8 @@ from .tensor import ShapeError, as_sequence, derive_seed, seeded_normal
 DEFAULT_INPUT_DIM = 754
 DEFAULT_HIDDEN = 2048
 DEFAULT_PROJ = 512
+DEFAULT_ACTIVATION = "relu"  # of memory-block and fc layers
+DEFAULT_PRECISION = "fp32"
 # far above the deepest preset (12 layers); bounds the work a short shorthand
 # string, say one embedded in a model file, can ask for
 MAX_SHORTHAND_LAYERS = 1024
@@ -50,13 +52,13 @@ class DfsmnLayerSpec:
     stride_back: int = 1
     stride_ahead: int = 1
     skip: bool = False
-    activation: str = "relu"
+    activation: str = DEFAULT_ACTIVATION
 
 
 @dataclass(frozen=True)
 class FcLayerSpec:
     hidden: int = DEFAULT_HIDDEN
-    activation: str = "relu"
+    activation: str = DEFAULT_ACTIVATION
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class NetworkConfig:
     input_dim: int = DEFAULT_INPUT_DIM
     layers: tuple = ()
     output_streams: tuple = DEFAULT_STREAMS
-    precision: str = "fp32"
+    precision: str = DEFAULT_PRECISION
 
     def __post_init__(self):
         validate_config(self)
@@ -161,9 +163,9 @@ def validate_config(cfg: NetworkConfig) -> None:
 
 def expand_shorthand(layer_counts: str, orders: str, input_dim: int = DEFAULT_INPUT_DIM,
                      hidden: int = DEFAULT_HIDDEN, proj: int = DEFAULT_PROJ,
-                     activation: str = "relu",
+                     activation: str = DEFAULT_ACTIVATION,
                      output_streams=DEFAULT_STREAMS,
-                     precision: str = "fp32") -> NetworkConfig:
+                     precision: str = DEFAULT_PRECISION) -> NetworkConfig:
     """Build a config from the compact "Nc+Nd" / "N1,N2,s1,s2" notation.
 
     Nc memory-block layers come first (skip connections between consecutive
@@ -207,7 +209,7 @@ PRESETS = {
 }
 
 
-def preset_config(name: str, precision: str = "fp32") -> NetworkConfig:
+def preset_config(name: str, precision: str = DEFAULT_PRECISION) -> NetworkConfig:
     if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; have {' '.join(sorted(PRESETS))}")
     counts, orders = PRESETS[name]
@@ -225,8 +227,16 @@ def _reject_unknown(d: dict, allowed: set, loc: str) -> None:
         raise ConfigError(f"{loc}: unknown key(s) {sorted(extra)}")
 
 
+def _given(doc: dict, *keys) -> dict:
+    """The entries of doc under keys that doc sets; the function or class
+    they are passed to holds the default of every other."""
+    return {k: doc[k] for k in keys if k in doc}
+
+
 def parse_config(text: str) -> NetworkConfig:
-    """Parse a JSON config document (full layer list, shorthand, or preset)."""
+    """Parse a JSON config document (full layer list, shorthand, or preset).
+    A key the document leaves out takes the default of the NetworkConfig or
+    layer-spec field, or expand_shorthand parameter, it sets."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -239,26 +249,20 @@ def parse_config(text: str) -> NetworkConfig:
         extra = set(doc) - {"preset", "precision"}
         if extra:
             raise ConfigError(f"config: preset cannot be combined with {sorted(extra)}")
-        return preset_config(doc["preset"], doc.get("precision", "fp32"))
+        return preset_config(doc["preset"], **_given(doc, "precision"))
 
     if "layers" not in doc:
         raise ConfigError("config: missing 'layers'")
-    streams = _parse_streams(doc.get("output_streams"))
-    common = dict(
-        input_dim=doc.get("input_dim", DEFAULT_INPUT_DIM),
-        output_streams=streams,
-        precision=doc.get("precision", "fp32"),
-    )
+    common = _given(doc, "input_dim", "precision")
+    if doc.get("output_streams") is not None:
+        common["output_streams"] = _parse_streams(doc["output_streams"])
 
     if isinstance(doc["layers"], str):
         if not isinstance(doc.get("order"), str):
             raise ConfigError("config: shorthand 'layers' needs an 'order' string")
         try:
-            return expand_shorthand(
-                doc["layers"], doc["order"],
-                hidden=doc.get("hidden", DEFAULT_HIDDEN),
-                proj=doc.get("proj", DEFAULT_PROJ),
-                activation=doc.get("activation", "relu"), **common)
+            return expand_shorthand(doc["layers"], doc["order"], **common,
+                                    **_given(doc, "hidden", "proj", "activation"))
         except ConfigError:
             raise
         except (TypeError, ValueError) as e:
@@ -289,8 +293,6 @@ def parse_config(text: str) -> NetworkConfig:
 
 
 def _parse_streams(entries) -> tuple:
-    if entries is None:
-        return DEFAULT_STREAMS
     if not isinstance(entries, list) or not entries:
         raise ConfigError("output_streams: must be a non-empty list")
     out = []

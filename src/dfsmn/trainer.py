@@ -23,24 +23,29 @@ import numpy as np
 from . import network as net
 from .features import SequenceData
 from .layers import dfsmn_layer_forward, layer_backward
-from .network import DfsmnLayerSpec, NetworkConfig, NetworkParams, build_network
+from .network import (DfsmnLayerSpec, NetworkConfig, NetworkParams, StreamSpec,
+                      build_network)
 from .tensor import Counter64, ShapeError, derive_seed, seeded_normal
 
 ECHO_STREAM = "echo"
+TASK_KINDS = ("echo", "acoustic_toy")  # SyntheticTaskSpec.kind values
 TOY_DIMS = {"mcep": 6, "lf0": 3, "bap": 2, "uv": 1}  # acoustic_toy stream widths
 DECAY_FACTOR = 0.1  # lr multiplier on stalled validation
 EVAL_FRAMES = 512   # frames per packed forward in predict, as batch_frames' default
 GRADCHECK_SAMPLES = 20  # scalars probed per parameter class by grad_check
+GRADCHECK_STEP = 1e-5   # grad_check's central-difference step
+GRADCHECK_TOL = 1e-4    # grad_check's pass bound on the relative error
 
 
 @dataclass
 class TrainConfig:
-    """Knobs of the SGD loop. The defaults mirror a full-scale recipe
-    (512-frame batches, 5e-7 initial rate, decay 0.1 on stalled validation);
-    synthetic desk-scale tasks override lr upward, typically to ~1e-2."""
+    """Knobs of the SGD loop, and the defaults of `dfsmn train`: 512-frame
+    batches and decay 0.1 on stalled validation, as in a full-scale recipe,
+    with the 1e-2 initial rate that suits the synthetic desk-scale tasks (a
+    full-scale recipe starts at 5e-7)."""
 
     batch_frames: int = 512
-    lr: float = 5e-7
+    lr: float = 1e-2
     patience: int = 1
     min_improvement: float = 0.005
     max_epochs: int = 10
@@ -149,8 +154,8 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-12)
 
 
-def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = 1e-5,
-               tolerance: float = 1e-4) -> GradCheckReport:
+def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = GRADCHECK_STEP,
+               tolerance: float = GRADCHECK_TOL) -> GradCheckReport:
     """Central finite differences against the analytic backward pass.
 
     Requires an fp64 config. Memory taps are re-drawn from a small normal
@@ -261,7 +266,8 @@ class SyntheticTaskSpec:
     single regression stream y[t] = x[t - lag] (zeros before the lag) plus
     optional noise. kind "acoustic_toy": four reduced-size streams, of the
     widths in TOY_DIMS, that are fixed deterministic maps of the input frame,
-    so a matching network can drive the training loss to ~0."""
+    so a matching network can drive the training loss to ~0. The validation
+    set holds max(1, num_sequences // 4) sequences of the same kind."""
 
     kind: str = "echo"
     input_dim: int = 1
@@ -269,23 +275,17 @@ class SyntheticTaskSpec:
     noise_std: float = 0.0
     num_sequences: int = 16
     seq_len: int = 64
-    valid_sequences: int = 0   # 0 -> max(1, num_sequences // 4)
 
     def __post_init__(self):
-        if self.kind not in ("echo", "acoustic_toy"):
+        if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
         for knob in ("num_sequences", "seq_len", "input_dim"):
             if getattr(self, knob) < 1:
                 raise ValueError(f"{knob} must be >= 1, got {getattr(self, knob)}")
         if not (0 <= self.lag < self.seq_len):
             raise ValueError(f"lag must satisfy 0 <= lag < seq_len, got {self.lag}")
-        if self.valid_sequences < 0:
-            raise ValueError(f"valid_sequences must be >= 0, got {self.valid_sequences}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-
-    def n_valid(self) -> int:
-        return self.valid_sequences or max(1, self.num_sequences // 4)
 
 
 def _echo_sequence(spec: SyntheticTaskSpec, seq_seed: int, seq_id: str) -> SequenceData:
@@ -303,13 +303,20 @@ def _echo_sequence(spec: SyntheticTaskSpec, seq_seed: int, seq_id: str) -> Seque
                         {ECHO_STREAM: y.astype(np.float32)})
 
 
+def _split(spec: SyntheticTaskSpec, seed: int, stream: int, make) -> tuple:
+    """(train, valid) of spec.num_sequences and max(1, num_sequences // 4)
+    sequences; sequence i of train is make(derive_seed(seed, stream, i), seq_id),
+    of valid make(derive_seed(seed, stream + 1, i), seq_id)."""
+    train = [make(derive_seed(seed, stream, i), f"train{i:04d}")
+             for i in range(spec.num_sequences)]
+    valid = [make(derive_seed(seed, stream + 1, i), f"valid{i:04d}")
+             for i in range(max(1, spec.num_sequences // 4))]
+    return train, valid
+
+
 def gen_echo_task(spec: SyntheticTaskSpec, seed: int):
     """Deterministic (train, validation) sets for the lagged-copy task."""
-    train = [_echo_sequence(spec, derive_seed(seed, 0, i), f"train{i:04d}")
-             for i in range(spec.num_sequences)]
-    valid = [_echo_sequence(spec, derive_seed(seed, 1, i), f"valid{i:04d}")
-             for i in range(spec.n_valid())]
-    return train, valid
+    return _split(spec, seed, 0, lambda s, seq_id: _echo_sequence(spec, s, seq_id))
 
 
 def _toy_maps(spec: SyntheticTaskSpec, seed: int) -> dict:
@@ -335,17 +342,24 @@ def gen_acoustic_toy_task(spec: SyntheticTaskSpec, seed: int):
     """Four-stream toy regression data; targets are fixed random linear maps
     of the input frame (squashed through a sigmoid for the voicing stream)."""
     maps = _toy_maps(spec, seed)
-    train = [_toy_sequence(spec, maps, derive_seed(seed, 2, i), f"train{i:04d}")
-             for i in range(spec.num_sequences)]
-    valid = [_toy_sequence(spec, maps, derive_seed(seed, 3, i), f"valid{i:04d}")
-             for i in range(spec.n_valid())]
-    return train, valid
+    return _split(spec, seed, 2, lambda s, seq_id: _toy_sequence(spec, maps, s, seq_id))
 
 
 def gen_task(spec: SyntheticTaskSpec, seed: int):
     if spec.kind == "echo":
         return gen_echo_task(spec, seed)
     return gen_acoustic_toy_task(spec, seed)
+
+
+def echo_net(order: int, stride: int = 1, depth: int = 1) -> NetworkConfig:
+    """The echo task's net: depth memory-block layers (hidden 16, proj 8,
+    relu) looking order taps back at stride, skip from the second layer on,
+    and one linear ECHO_STREAM head. Its look-back receptive field is
+    depth * order * stride frames."""
+    layers = tuple(DfsmnLayerSpec(hidden=16, proj=8, n_back=order, stride_back=stride,
+                                  skip=i > 0) for i in range(depth))
+    return NetworkConfig(input_dim=1, layers=layers,
+                         output_streams=(StreamSpec(ECHO_STREAM, 1),))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dfsmn.model_io import load_model, save_model
 from dfsmn.network import (DfsmnLayerSpec, FcLayerSpec, NetworkConfig, StreamSpec,
                            build_network, preset_config)
 from dfsmn.tensor import Counter64, derive_seed
-from dfsmn.trainer import (ECHO_STREAM, SyntheticTaskSpec, TrainConfig,
+from dfsmn.trainer import (SyntheticTaskSpec, TrainConfig, echo_net,
                            gen_acoustic_toy_task, gen_echo_task, grad_check, train)
 
 ALL_PRESETS = "ABCDEFGHI"
@@ -135,14 +135,6 @@ class TestCriterion4Flops:
                f"{100 * (per_frame[3] - per_frame[0]) / per_frame[0]:.2f}% (<1%)")
 
 
-def _echo_config(n_back, lr_unused=None):
-    layers = (DfsmnLayerSpec(hidden=16, proj=8, n_back=n_back, n_ahead=0,
-                             stride_back=1, stride_ahead=1, activation="relu"),)
-    return NetworkConfig(input_dim=1, layers=layers,
-                         output_streams=(StreamSpec(ECHO_STREAM, 1),),
-                         precision="fp32")
-
-
 class TestCriterion5LongDependency:
     @pytest.mark.slow
     def test_echo_lag8_separation(self):
@@ -151,7 +143,7 @@ class TestCriterion5LongDependency:
         train_set, valid_set = gen_echo_task(spec, seed=0)
         start = time.monotonic()
 
-        cfg_wide = _echo_config(n_back=8)   # look-back receptive field 8
+        cfg_wide = echo_net(8)   # look-back receptive field 8
         assert analysis.receptive_field(cfg_wide) == (8, 0)
         params = build_network(cfg_wide, seed=1)
         tc = TrainConfig(batch_frames=512, lr=0.05, max_epochs=200, seed=1,
@@ -159,7 +151,7 @@ class TestCriterion5LongDependency:
         _, hist_wide = train(cfg_wide, params, train_set, tc, valid_set)
         wide_mse = hist_wide[-1].valid_mse
 
-        cfg_narrow = _echo_config(n_back=2)  # look-back receptive field 2
+        cfg_narrow = echo_net(2)  # look-back receptive field 2
         assert analysis.receptive_field(cfg_narrow) == (2, 0)
         params = build_network(cfg_narrow, seed=1)
         tc = TrainConfig(batch_frames=512, lr=0.1, max_epochs=200, seed=1,
@@ -310,7 +302,7 @@ class TestCriterion8Determinism:
         spec = SyntheticTaskSpec(kind="echo", input_dim=1, lag=2,
                                  num_sequences=6, seq_len=16)
         train_set, valid_set = gen_echo_task(spec, seed=3)
-        cfg = _echo_config(n_back=3)
+        cfg = echo_net(3)
         blobs = []
         for name in ("m1", "m2"):
             params = build_network(cfg, seed=5)

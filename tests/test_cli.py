@@ -1,12 +1,13 @@
 import json
 import os
 import shlex
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
-from dfsmn import cli
+from dfsmn import cli, trainer
 from dfsmn import network as net
 from dfsmn.cli import build_parser, main
 from dfsmn.features import (SequenceData, read_feature, read_manifest, write_dataset,
@@ -148,9 +149,7 @@ class TestSynthdata:
             assert x.shape == y.shape == (frames, 1)
             assert np.array_equal(x, y)
 
-    @pytest.mark.parametrize("flag,value,knob", [("--valid-sequences", "-1",
-                                                  "valid_sequences"),
-                                                 ("--noise-std", "nan", "noise_std"),
+    @pytest.mark.parametrize("flag,value,knob", [("--noise-std", "nan", "noise_std"),
                                                  ("--noise-std", "-1", "noise_std"),
                                                  ("--noise-std", "inf", "noise_std"),
                                                  ("--len", "0", "seq_len"),
@@ -162,6 +161,21 @@ class TestSynthdata:
                      f"{flag}={value}"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {knob} must be")
         assert not out.exists()
+
+    def test_no_optional_flag_gives_the_spec_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(spec, seed):
+            seen.append((spec, seed))
+            raise RuntimeError("captured")
+        monkeypatch.setattr(trainer, "gen_task", capture)
+        assert main(["synthdata", "--out", str(tmp_path / "d")]) == 1
+        assert seen == [(trainer.SyntheticTaskSpec(), 0)]
+
+    def test_valid_sequences_flag_is_gone(self, tmp_path, capsys):
+        assert main(["synthdata", "--out", str(tmp_path / "d"),
+                     "--valid-sequences", "2"]) == 2
+        assert "unrecognized arguments: --valid-sequences" in capsys.readouterr().err
 
     def test_manifest_matches_headers(self, tmp_path):
         out = tmp_path / "d"
@@ -209,6 +223,18 @@ class TestTrainEval:
         epoch, lr, train_mse, valid_mse = lines[0].split("\t")
         assert epoch == "0" and float(lr) == 0.05
         float(train_mse), float(valid_mse)
+
+    def test_no_optional_flag_gives_the_train_config_defaults(self, tmp_path, echo_data,
+                                                               monkeypatch):
+        seen = []
+
+        def capture(cfg, params, dataset, train_cfg, valid=None):
+            seen.append(train_cfg)
+            raise RuntimeError("captured")
+        monkeypatch.setattr(trainer, "train", capture)
+        assert main(["train", "--config", str(self._write_cfg(tmp_path)),
+                     "--data", str(echo_data), "--out", str(tmp_path / "m.dfsmn")]) == 1
+        assert seen == [trainer.TrainConfig()]
 
     def test_train_deterministic_model_bytes(self, tmp_path, echo_data):
         cfg = self._write_cfg(tmp_path)
@@ -303,15 +329,55 @@ class TestTrainEval:
         assert "bapd 0" in out
         assert "uv_error 0" in out
 
-    def _mcep_set(self, path, lengths):
-        """A dataset with one 3-dim mcep stream; each sequence's values
+    def _mcep_set(self, path, lengths, dim=3):
+        """A dataset with one dim-wide mcep stream; each sequence's values
         follow from its id and length alone."""
         write_dataset(path, [
             SequenceData(seq_id, np.zeros((n, 1), np.float32),
-                         {"mcep": Counter64(sum(map(ord, seq_id)) + n).normal(3 * n)
-                          .reshape(n, 3).astype(np.float32)})
+                         {"mcep": Counter64(sum(map(ord, seq_id)) + n).normal(dim * n)
+                          .reshape(n, dim).astype(np.float32)})
             for seq_id, n in lengths])
         return str(path)
+
+    def test_eval_one_wide_mcep_skips_mcd_naming_the_width(self, tmp_path, capsys):
+        ref = self._mcep_set(tmp_path / "ref", [("u0", 5)], dim=1)
+        assert main(["eval", "--data", ref, "--hyp", ref]) == 0
+        assert ("mcd_db skipped (mcd needs at least 2 cepstral dims (dim 0 is "
+                "excluded), got 1)\n" in capsys.readouterr().out)
+
+    def _toy_and_hyp_copy(self, tmp_path):
+        """An acoustic_toy train set and a byte copy of it to pass as --hyp."""
+        data = tmp_path / "toy"
+        assert main(["synthdata", "--task", "acoustic_toy", "--dim", "4",
+                     "--sequences", "4", "--len", "10", "--out", str(data)]) == 0
+        shutil.copytree(data / "train", tmp_path / "hyp")
+        return data / "train", tmp_path / "hyp"
+
+    def test_eval_hyp_stream_width_differs_exits_2(self, tmp_path, capsys):
+        ref, hyp = self._toy_and_hyp_copy(tmp_path)
+        path = hyp / "train0001.mcep.feat"
+        name, mcep = read_feature(path)
+        write_feature(path, name, mcep[:, :5])
+        capsys.readouterr()
+        assert main(["eval", "--data", str(ref), "--hyp", str(hyp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: hypothesis {hyp}: sequence train0001: "
+                                f"stream 'mcep' is 5 wide, the reference 6\n")
+        assert captured.out == ""
+
+    def test_eval_stream_missing_names_its_side(self, tmp_path, capsys):
+        errors = {}
+        for side in ("data", "hyp"):
+            ref, hyp = self._toy_and_hyp_copy(tmp_path / side)
+            ({"data": ref, "hyp": hyp}[side] / "train0001.uv.feat").unlink()
+            capsys.readouterr()
+            assert main(["eval", "--data", str(ref), "--hyp", str(hyp)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors[side] = captured.err
+        assert errors["data"] == "error: sequence train0001: missing stream 'uv'\n"
+        assert errors["hyp"] == (f"error: hypothesis {tmp_path / 'hyp' / 'hyp'}: "
+                                 f"sequence train0001: missing stream 'uv'\n")
 
     def test_eval_hyp_pairs_by_id(self, tmp_path, capsys):
         ref = self._mcep_set(tmp_path / "ref", [("u0", 5), ("u1", 3)])

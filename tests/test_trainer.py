@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from dfsmn import analysis
 from dfsmn import layers as L
 from dfsmn import network as net
 from dfsmn import trainer
@@ -336,6 +337,12 @@ class TestEchoTask:
         with pytest.raises(ValueError):
             SyntheticTaskSpec(kind="echo", lag=10, seq_len=10)
 
+    @pytest.mark.parametrize("n,n_valid", [(1, 1), (7, 1), (8, 2), (16, 4)])
+    def test_validation_set_is_a_quarter(self, n, n_valid):
+        spec = SyntheticTaskSpec(kind="echo", num_sequences=n, seq_len=4)
+        train_set, valid_set = gen_echo_task(spec, seed=0)
+        assert (len(train_set), len(valid_set)) == (n, n_valid)
+
     def test_noise_is_added(self):
         spec = SyntheticTaskSpec(kind="echo", input_dim=1, lag=0,
                                  num_sequences=1, seq_len=50, noise_std=0.1)
@@ -374,14 +381,23 @@ class TestAcousticToyTask:
         assert np.array_equal(t1[0].targets["mcep"], t2[0].targets["mcep"])
 
 
-def echo_config(input_dim=1, n_back=8, stride=1, proj=8, hidden=16,
-                activation="relu", precision="fp32"):
-    layers = (DfsmnLayerSpec(hidden=hidden, proj=proj, n_back=n_back, n_ahead=0,
-                             stride_back=stride, stride_ahead=1,
-                             activation=activation),)
-    return NetworkConfig(input_dim=input_dim, layers=layers,
-                         output_streams=(StreamSpec(ECHO_STREAM, input_dim),),
-                         precision=precision)
+class TestEchoNet:
+    @pytest.mark.parametrize("n_back", [8, 2, 3])
+    def test_single_layer_nets_of_criteria_5_and_8(self, n_back):
+        # the configs acceptance criteria 5 (orders 8 and 2) and 8 (order 3)
+        # trained before they were built by echo_net
+        layers = (DfsmnLayerSpec(hidden=16, proj=8, n_back=n_back, n_ahead=0,
+                                 stride_back=1, stride_ahead=1, activation="relu"),)
+        explicit = NetworkConfig(input_dim=1, layers=layers,
+                                 output_streams=(StreamSpec(ECHO_STREAM, 1),),
+                                 precision="fp32")
+        assert trainer.echo_net(n_back) == explicit
+
+    def test_depth_and_stride(self):
+        cfg = trainer.echo_net(2, stride=2, depth=2)
+        assert [(s.n_back, s.stride_back, s.skip) for s in cfg.layers] == [
+            (2, 2, False), (2, 2, True)]
+        assert analysis.receptive_field(cfg) == (8, 0)
 
 
 class TestTrainLoop:
@@ -392,7 +408,7 @@ class TestTrainLoop:
 
     def test_zero_lr_keeps_params_and_flat_history(self):
         train_set, valid_set = self._echo_data()
-        cfg = echo_config(n_back=2)
+        cfg = trainer.echo_net(2)
         params = build_network(cfg, 0)
         before = [arr.copy() for _, _, arr in iter_tensors(cfg, params)]
         tc = TrainConfig(batch_frames=32, lr=0.0, max_epochs=4, seed=0)
@@ -423,7 +439,7 @@ class TestTrainLoop:
 
     def test_history_length_and_fields(self):
         train_set, valid_set = self._echo_data()
-        cfg = echo_config(n_back=1)
+        cfg = trainer.echo_net(1)
         params = build_network(cfg, 0)
         tc = TrainConfig(batch_frames=16, lr=0.01, max_epochs=3, seed=0)
         _, history = train(cfg, params, train_set, tc, valid_set)
@@ -433,7 +449,7 @@ class TestTrainLoop:
 
     def test_deterministic_final_params(self):
         train_set, valid_set = self._echo_data()
-        cfg = echo_config(n_back=2)
+        cfg = trainer.echo_net(2)
         results = []
         for _ in range(2):
             params = build_network(cfg, 7)
@@ -447,7 +463,10 @@ class TestTrainLoop:
         # loss over a batch equals the loss over the concatenated sequences
         # (memoryless layer so frames never mix across the seam; fp64)
         rng = Counter64(5)
-        cfg = echo_config(n_back=0, input_dim=2, precision="fp64")
+        layers = (DfsmnLayerSpec(hidden=16, proj=8),)
+        cfg = NetworkConfig(input_dim=2, layers=layers,
+                            output_streams=(StreamSpec(ECHO_STREAM, 2),),
+                            precision="fp64")
         params = build_network(cfg, 2)
         seqs = []
         for i, T in enumerate((4, 7, 5)):
@@ -462,14 +481,14 @@ class TestTrainLoop:
         assert abs(weighted - pooled) / pooled < 1e-10
 
     def test_empty_dataset_rejected(self):
-        cfg = echo_config()
+        cfg = trainer.echo_net(8)
         with pytest.raises(ValueError, match="empty"):
             train(cfg, build_network(cfg, 0), [], TrainConfig(max_epochs=1))
 
     def test_empty_validation_set_rejected(self):
         # only None means "validate on the training set"
         train_set, _ = self._echo_data()
-        cfg = echo_config()
+        cfg = trainer.echo_net(8)
         with pytest.raises(ValueError, match="empty validation set"):
             train(cfg, build_network(cfg, 0), train_set, TrainConfig(max_epochs=1), [])
 
@@ -485,7 +504,7 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_diverging_run_aborts_with_location(self):
         train_set, valid_set = self._echo_data()
-        cfg = echo_config(n_back=2)
+        cfg = trainer.echo_net(2)
         params = build_network(cfg, 0)
         tc = TrainConfig(batch_frames=16, lr=1e8, max_epochs=50, seed=0)
         with pytest.raises(RuntimeError, match=r"epoch \d+ batch \d+"):
