@@ -6,8 +6,9 @@ Runs, in process and in a few seconds: echo and acoustic_toy `synthdata`;
 10,8) on the toy set, each with its history; `gradcheck` of an fp64 config;
 `eval --model` (both nets) and `eval --hyp` (two toy sets drawn from
 different seeds); and one full-width artifact, a preset-E packed forward
-and backward whose per-tensor digests show GEMM and blocking effects that
-the toy nets are too small to reach. Every artifact is written under --out
+and backward, run on the net after a save and load, whose per-tensor
+digests show GEMM, blocking and loader effects that the toy nets are too
+small to reach. Every artifact is written under --out
 and its digest is printed as "<sha256>  <artifact>", after a first line
 giving the BLAS thread count in effect, so two runs compare with `diff`.
 
@@ -31,7 +32,7 @@ import sys
 
 import numpy as np
 
-from dfsmn import network, trainer
+from dfsmn import model_io, network, trainer
 from dfsmn.cli import main as dfsmn
 from dfsmn.tensor import derive_seed, seeded_normal
 
@@ -78,8 +79,9 @@ def run(argv, stdout_path=os.devnull) -> None:
 
 
 def full_width(path) -> None:
-    """Preset E at full width, taps drawn nonzero: one forward of two packed
-    sequences and the backward of seeded output gradients. Writes one line
+    """Preset E at full width, taps drawn nonzero, saved to a model file and
+    loaded back: one forward of two packed sequences and the backward of
+    seeded output gradients, run on the loaded net. Writes one line
     "<sha256>  <tensor> <shape>" per head output, parameter gradient and the
     input gradient."""
     cfg = network.preset_config("E")
@@ -87,6 +89,11 @@ def full_width(path) -> None:
     for k, (cls, _, arr) in enumerate(network.iter_tensors(cfg, params)):
         if cls.endswith("taps") and arr.size:
             seeded_normal(derive_seed(SEED, 1, k), *arr.shape, stddev=0.1, out=arr)
+    model = path + ".dfsmn"
+    model_io.save_model(params, cfg, model)
+    del params  # the loader may get this memory back, not fresh pages
+    params, cfg = model_io.load_model(model)
+    os.remove(model)
     frames = sum(FULL_WIDTH_LENGTHS)
     bounds = [(0, FULL_WIDTH_LENGTHS[0]), (FULL_WIDTH_LENGTHS[0], frames)]
 

@@ -103,12 +103,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _paired_streams(ref_set, hyp_dir) -> tuple:
+def _paired_streams(ref_dir, hyp_dir) -> tuple:
     """(ref, hyp) for eval --hyp: the streams both datasets carry, stacked in
-    ref_set's order with hyp_dir's sequences paired by seq_id. Ids, frame
-    counts and stream widths must agree and every sequence must carry every
-    scored stream; a fault of the hypothesis set names hyp_dir."""
-    hyp_set = load_dataset(hyp_dir)
+    ref_dir's order with hyp_dir's sequences paired by seq_id. Ids, frame
+    counts and stream widths must agree, each stream must have one width
+    across ref_dir, and every sequence must carry every scored stream; a
+    width fault names its directory."""
+    ref_set, hyp_set = load_dataset(ref_dir), load_dataset(hyp_dir)
     by_id = {seq.seq_id: seq for seq in hyp_set}
     ref_ids = {seq.seq_id for seq in ref_set}
     if by_id.keys() != ref_ids:
@@ -121,6 +122,15 @@ def _paired_streams(ref_set, hyp_dir) -> tuple:
                          f"for {unequal}")
     names = sorted(set().union(*(seq.targets for seq in ref_set))
                    & set().union(*(seq.targets for seq in hyp_set)))
+    first = {}  # stream -> the first reference sequence carrying it
+    for seq in ref_set:
+        for name in [n for n in names if n in seq.targets]:
+            got = seq.targets[name].shape[1]
+            want = first.setdefault(name, seq).targets[name].shape[1]
+            if got != want:
+                raise ShapeError(f"reference {ref_dir}: sequence {seq.seq_id}: stream "
+                                 f"{name!r} is {got} wide, sequence "
+                                 f"{first[name].seq_id}'s {want}")
     ref = trainer.stack_targets(ref_set, names)
     hyp_seqs = [by_id[seq.seq_id] for seq in ref_set]
     for ref_seq, hyp_seq in zip(ref_set, hyp_seqs):
@@ -137,7 +147,7 @@ def _paired_streams(ref_set, hyp_dir) -> tuple:
 
 def cmd_eval(args) -> int:
     if args.hyp:
-        ref, hyp = _paired_streams(load_dataset(args.data), args.hyp)
+        ref, hyp = _paired_streams(args.data, args.hyp)
     else:
         params, cfg = load_model(args.model)
         dataset = load_dataset(args.data)

@@ -97,6 +97,9 @@ def read_manifest(dirpath):
                 raise ValueError(f"{path}:{ln}: id {parts[0]!r} repeats line "
                                  f"{first_line[parts[0]]}")
             first_line[parts[0]] = ln
+            if not (parts[1].isascii() and parts[1].isdigit()):
+                raise ValueError(f"{path}:{ln}: frame count {parts[1]!r} is not a "
+                                 f"non-negative integer")
             entries.append((parts[0], int(parts[1])))
     return entries
 

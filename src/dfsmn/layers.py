@@ -56,10 +56,13 @@ if TYPE_CHECKING:
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear")
 
-# Tap filters with at least this many taps run as Toeplitz-block GEMMs. At
-# d = 512 fp32 the GEMM path wins from about 9 taps on 400+ frames but loses
-# below about 40 taps on 100 frames (one BLAS call per channel); 16 sends
-# presets D..I (21+ taps) to the GEMM and A..C (3-11 taps) to the walk.
+# Tap filters with at least this many taps run as Toeplitz-block GEMMs; 16
+# sends presets D..I (21+ taps) to the GEMM and A..C (3-11 taps) to the walk.
+# At d = 512 fp32, walk time over GEMM time for one memory block is 0.38 at
+# 100 frames and 1.00 at 400 for 21 taps, 1.24 at 200 frames for 41 taps, and
+# 0.39 at 100 frames and 1.76 at 200 for 161 taps: the walk wins on short
+# sequences whatever the tap count. On whole preset-E forwards and training
+# steps the ratio is 0.93-1.04, so a rule on sequence length would not pay.
 GEMM_MIN_TAPS = 16
 # Output frames per Toeplitz block. A constant, so a row's GEMM operands do not
 # depend on the sequence length or on the rest of a packed batch.

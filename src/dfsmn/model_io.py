@@ -9,13 +9,14 @@ Layout (all integers little-endian uint32 unless noted):
 
 Payload dtype follows the embedded config's precision flag ("<f4" or "<f8").
 Files stream tensor by tensor: saving writes each tensor's buffer straight
-to the file, and loading reads each payload straight into its zero-filled
-tensor (no seeded init), so neither holds a second copy of the parameters.
-Every size a header claims is checked against the file's length before the
-read or allocation it would size. Round-trips are byte-exact: save(load(f))
-reproduces f bit for bit. Feature files share the framing: `_header` writes
-the magic and version, `_FileReader.framed` checks them and that no byte is
-left over.
+to the file, and loading reads each payload straight into its tensor, so
+neither holds a second copy of the parameters. The loader's tensors start
+uninitialised (no zero fill, no seeded init) and the read writes every byte
+of them; a load that fails returns nothing. Every size a header claims is
+checked against the file's length before the read or allocation it would
+size. Round-trips are byte-exact: save(load(f)) reproduces f bit for bit.
+Feature files share the framing: `_header` writes the magic and version,
+`_FileReader.framed` checks them and that no byte is left over.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .network import (NetworkConfig, NetworkParams, config_to_json, count_params,
-                      iter_tensors, parse_config, zeros_network)
+from .network import (NetworkConfig, NetworkParams, _alloc_network, config_to_json,
+                      count_params, iter_tensors, parse_config)
 
 MAGIC = b"DFSM"
 VERSION = 1
@@ -151,7 +152,7 @@ def load_model(path):
         if left < payload:
             raise TruncatedFileError(
                 f"config needs {payload} payload bytes, file has {left} after it")
-        params = zeros_network(cfg)
+        params = _alloc_network(cfg, np.empty)
         for _, path_name, arr in iter_tensors(cfg, params):
             ndim = r.u32()
             if ndim != arr.ndim:

@@ -386,8 +386,15 @@ def iter_tensors(cfg: NetworkConfig, params: NetworkParams) -> Iterator[tuple]:
 def zeros_network(cfg: NetworkConfig) -> NetworkParams:
     """Zero-filled parameters, allocated from the group table of
     _tensor_groups, which fixes every shape and the order iter_tensors walks."""
+    return _alloc_network(cfg, np.zeros)
+
+
+def _alloc_network(cfg: NetworkConfig, alloc) -> NetworkParams:
+    """Parameters whose every tensor is alloc(shape, dtype=...), taken from the
+    group table: np.zeros for zeros_network, np.empty for a loader that
+    overwrites every byte."""
     dt = cfg.dtype()
-    groups = [cls(**{name: np.zeros(shape, dtype=dt) for name, shape in shapes.items()})
+    groups = [cls(**{name: alloc(shape, dtype=dt) for name, shape in shapes.items()})
               for _, _, cls, shapes in _tensor_groups(cfg)]
     n = len(cfg.layers)
     return NetworkParams(groups[:n], {s.name: g for s, g in

@@ -365,6 +365,19 @@ class TestTrainEval:
                                 f"stream 'mcep' is 5 wide, the reference 6\n")
         assert captured.out == ""
 
+    def test_eval_hyp_reference_widths_differ_exits_2(self, tmp_path, capsys):
+        ref, hyp = self._toy_and_hyp_copy(tmp_path)
+        for side in (ref, hyp):
+            path = side / "train0001.mcep.feat"
+            name, mcep = read_feature(path)
+            write_feature(path, name, mcep[:, :5])
+        capsys.readouterr()
+        assert main(["eval", "--data", str(ref), "--hyp", str(hyp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: reference {ref}: sequence train0001: "
+                                f"stream 'mcep' is 5 wide, sequence train0000's 6\n")
+        assert captured.out == ""
+
     def test_eval_stream_missing_names_its_side(self, tmp_path, capsys):
         errors = {}
         for side in ("data", "hyp"):
@@ -514,6 +527,18 @@ class TestTrainEval:
         assert f"id {seq_id!r} repeats line 1" in captured.err
         assert captured.out == ""
         assert not model.exists()
+
+    @pytest.mark.parametrize("frames", ["16x", "-3"])
+    def test_bad_manifest_frame_count_exits_2(self, tmp_path, echo_data, capsys, frames):
+        manifest = echo_data / "valid" / "manifest.txt"
+        seq_id = manifest.read_text().splitlines()[0].split("\t")[0]
+        manifest.write_text(f"{seq_id}\t{frames}\n")
+        assert main(["eval", "--data", str(echo_data / "valid"),
+                     "--hyp", str(echo_data / "valid")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {manifest}:1: frame count {frames!r} is not "
+                                f"a non-negative integer\n")
+        assert captured.out == ""
 
     def test_train_empty_valid_exits_2(self, tmp_path, echo_data, capsys):
         (echo_data / "valid" / "manifest.txt").write_text("")

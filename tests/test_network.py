@@ -691,6 +691,15 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"manifest.txt:3: id 'a' repeats line 1"):
             read_manifest(tmp_path)
 
+    @pytest.mark.parametrize("frames", ["16x", "-3", "", " 3", "+3", "1_0", "٣"])
+    def test_frame_count_not_a_count_rejected(self, tmp_path, frames):
+        write_dataset(tmp_path, [SequenceData("a", np.zeros((3, 2), np.float32))])
+        (tmp_path / features.MANIFEST_NAME).write_text(f"a\t{frames}\n")
+        with pytest.raises(ValueError, match=rf"manifest.txt:1: frame count "
+                                             rf"{re.escape(repr(frames))} is not a "
+                                             rf"non-negative integer"):
+            read_manifest(tmp_path)
+
     def test_empty_manifest_rejected(self, tmp_path):
         write_dataset(tmp_path, [])
         with pytest.raises(ValueError, match="manifest lists no sequences"):
@@ -833,6 +842,39 @@ class TestModelFile:
         for (_, _, a), (_, _, b) in zip(iter_tensors(cfg, params),
                                         iter_tensors(cfg, loaded)):
             assert np.array_equal(a, b)
+
+    def test_load_zero_fills_no_tensor(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        params = build_network(cfg, 4)
+        path = tmp_path / "m.dfsmn"
+        save_model(params, cfg, path)
+
+        def no_zeros(*args, **kwargs):
+            raise AssertionError("load_model zero-filled a tensor")
+
+        monkeypatch.setattr(np, "zeros", no_zeros)
+        loaded, _ = load_model(path)
+        monkeypatch.undo()
+        for (_, _, a), (_, _, b) in zip(iter_tensors(cfg, params),
+                                        iter_tensors(cfg, loaded)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_load_into_dirty_memory_is_bit_exact(self, tmp_path, precision):
+        cfg = tiny_cfg(precision=precision)
+        params = build_network(cfg, 5)
+        path = tmp_path / "m.dfsmn"
+        save_model(params, cfg, path)
+        # freed NaN-filled blocks of each tensor's size, for the loader's
+        # uninitialised tensors to be handed back
+        dirty = [np.full(arr.shape, np.nan, arr.dtype)
+                 for _, _, arr in iter_tensors(cfg, params)]
+        del dirty
+        loaded, _ = load_model(path)
+        for (_, _, a), (_, _, b) in zip(iter_tensors(cfg, params),
+                                        iter_tensors(cfg, loaded), strict=True):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
 
     def _traced_peak(self, fn, *args):
         tracemalloc.start()
