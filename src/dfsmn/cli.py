@@ -108,7 +108,7 @@ def _paired_streams(ref_dir, hyp_dir) -> tuple:
     ref_dir's order with hyp_dir's sequences paired by seq_id. Ids, frame
     counts and stream widths must agree, each stream must have one width
     across ref_dir, and every sequence must carry every scored stream; a
-    width fault names its directory."""
+    missing stream or a width fault names its directory."""
     ref_set, hyp_set = load_dataset(ref_dir), load_dataset(hyp_dir)
     by_id = {seq.seq_id: seq for seq in hyp_set}
     ref_ids = {seq.seq_id for seq in ref_set}
@@ -124,12 +124,14 @@ def _paired_streams(ref_dir, hyp_dir) -> tuple:
                    & set().union(*(seq.targets for seq in hyp_set)))
     first = {}  # stream -> the first reference sequence carrying it
     for seq in ref_set:
-        for name in [n for n in names if n in seq.targets]:
+        where = f"reference {ref_dir}: sequence {seq.seq_id}"
+        for name in names:
+            if name not in seq.targets:
+                raise ShapeError(f"{where}: missing stream {name!r}")
             got = seq.targets[name].shape[1]
             want = first.setdefault(name, seq).targets[name].shape[1]
             if got != want:
-                raise ShapeError(f"reference {ref_dir}: sequence {seq.seq_id}: stream "
-                                 f"{name!r} is {got} wide, sequence "
+                raise ShapeError(f"{where}: stream {name!r} is {got} wide, sequence "
                                  f"{first[name].seq_id}'s {want}")
     ref = trainer.stack_targets(ref_set, names)
     hyp_seqs = [by_id[seq.seq_id] for seq in ref_set]

@@ -43,9 +43,9 @@ def write_feature(path, stream_name: str, data: np.ndarray) -> None:
 
 
 def read_feature(path):
-    """Returns (stream_name, T x D float32 array). The file is read as a
-    stream, and the payload size its header claims is checked against the
-    file's length before the array is allocated."""
+    """Returns (stream_name, T x D float32 array). The payload size the
+    header claims is checked against the file's length before the array is
+    allocated, and the payload is read into it by _FileReader.fill."""
     with _FileReader.framed(path, FEATURE_MAGIC, FEATURE_VERSION) as r:
         frames, dim = r.u32(), r.u32()
         name = r.text("stream name")

@@ -8,15 +8,21 @@ Layout (all integers little-endian uint32 unless noted):
     tensors in declaration order, each as: ndim, dims..., raw payload
 
 Payload dtype follows the embedded config's precision flag ("<f4" or "<f8").
-Files stream tensor by tensor: saving writes each tensor's buffer straight
-to the file, and loading reads each payload straight into its tensor, so
-neither holds a second copy of the parameters. The loader's tensors start
-uninitialised (no zero fill, no seeded init) and the read writes every byte
-of them; a load that fails returns nothing. Every size a header claims is
-checked against the file's length before the read or allocation it would
-size. Round-trips are byte-exact: save(load(f)) reproduces f bit for bit.
-Feature files share the framing: `_header` writes the magic and version,
-`_FileReader.framed` checks them and that no byte is left over.
+Saving writes each tensor's buffer straight to the file. Loading makes two
+passes over the one open file. The header pass walks every tensor header in
+file order, checks it and records where the tensor's payload starts; the
+payload pass then reads every payload straight into its tensor with
+positioned reads (os.preadv, which the loader needs), on one thread per CPU,
+largest payload first. Neither direction holds a second copy of the
+parameters. The loader's tensors start uninitialised (no zero fill, no
+seeded init) and the reads write every byte of them. A failed load returns
+nothing and raises what a serial reader would: the first header or payload,
+in file order, that is malformed or comes back short. Every size a header
+claims is checked against the file's length before the read or allocation
+it would size. Round-trips are byte-exact: save(load(f)) reproduces f bit
+for bit. Feature files share the framing and the payload reads: `_header`
+writes the magic and version, `_FileReader.framed` checks them and that no
+byte is left over, and `_FileReader.fill` reads payloads.
 """
 
 from __future__ import annotations
@@ -25,10 +31,12 @@ import math
 import os
 import struct
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
+from . import tensor
 from .network import (NetworkConfig, NetworkParams, _alloc_network, config_to_json,
                       count_params, iter_tensors, parse_config)
 
@@ -107,7 +115,7 @@ class _FileReader:
     def take(self, n: int) -> bytes:
         self._claim(n)
         out = self.f.read(n)
-        self._check_read(len(out), n)
+        _check_read(len(out), n, self.pos - n)
         return out
 
     def u32(self) -> int:
@@ -120,27 +128,67 @@ class _FileReader:
         except UnicodeDecodeError as e:
             raise ModelFileError(f"{what} is not valid utf-8: {e}")
 
-    def read_into(self, arr: np.ndarray) -> None:
-        """Fill the C-contiguous, native-order arr with its values stored
-        little-endian in the next arr.nbytes bytes of the file."""
+    def payload(self, arr: np.ndarray) -> tuple:
+        """Claim the next arr.nbytes bytes as the payload of arr, for fill to
+        read, and move past them; returns (offset, arr)."""
+        offset = self.pos
         self._claim(arr.nbytes)
-        self._check_read(self.f.readinto(arr), arr.nbytes)
-        if sys.byteorder == "big":
-            arr.byteswap(inplace=True)
+        self.f.seek(self.pos)
+        return offset, arr
+
+    def fill(self, payloads) -> None:
+        """Read each (offset, arr) of payloads into its C-contiguous,
+        native-order arr, from values stored little-endian. The reads run
+        largest first on one thread per CPU, all joined before this returns;
+        a short one is raised in file order, as a serial reader would."""
+        fd = self.f.fileno()
+        got = [0] * len(payloads)
+
+        def read(i):
+            offset, arr = payloads[i]
+            got[i] = _read_at(fd, arr.reshape(-1).view(np.uint8), offset)
+
+        order = sorted(range(len(payloads)), key=lambda i: -payloads[i][1].nbytes)
+        threads = min(tensor._draw_workers(), len(order))
+        if threads <= 1:
+            for i in order:
+                read(i)
+        else:
+            with ThreadPoolExecutor(threads) as pool:
+                # list() reads every result, so a worker's exception is raised here
+                list(pool.map(read, order))
+        for (offset, arr), n in zip(payloads, got):
+            _check_read(n, arr.nbytes, offset)
+            if sys.byteorder == "big":
+                arr.byteswap(inplace=True)
 
     def read_array(self, shape: tuple, dtype) -> np.ndarray:
-        """A new array of shape and native dtype, filled by read_into; the
-        file must hold its bytes before it is allocated."""
+        """A new array of shape and native dtype, filled by fill; the file
+        must hold its bytes before it is allocated."""
         self._check_left(math.prod(shape) * np.dtype(dtype).itemsize)
         arr = np.empty(shape, dtype)
-        self.read_into(arr)
+        self.fill([self.payload(arr)])
         return arr
 
-    def _check_read(self, got: int, n: int) -> None:
-        """The file held fewer bytes than its size promised (it shrank)."""
-        if got != n:
-            raise TruncatedFileError(
-                f"needed {n} bytes at offset {self.pos - n}, read {got}")
+
+def _check_read(got: int, n: int, offset: int) -> None:
+    """A read of n bytes at offset got fewer: the file shrank after its size
+    was taken."""
+    if got != n:
+        raise TruncatedFileError(f"needed {n} bytes at offset {offset}, read {got}")
+
+
+def _read_at(fd: int, buf: np.ndarray, offset: int) -> int:
+    """Read into buf from offset until it is full or the file ends; returns
+    the bytes read. One preadv may return less than asked: Linux moves at
+    most 0x7ffff000 bytes per call."""
+    got = 0
+    while got < len(buf):
+        n = os.preadv(fd, [buf[got:]], offset + got)
+        if n == 0:
+            break
+        got += n
+    return got
 
 
 def load_model(path):
@@ -153,14 +201,21 @@ def load_model(path):
             raise TruncatedFileError(
                 f"config needs {payload} payload bytes, file has {left} after it")
         params = _alloc_network(cfg, np.empty)
-        for _, path_name, arr in iter_tensors(cfg, params):
-            ndim = r.u32()
-            if ndim != arr.ndim:
-                raise ModelFileError(
-                    f"tensor {path_name}: stored ndim {ndim} != expected {arr.ndim}")
-            shape = tuple(r.u32() for _ in range(ndim))
-            if shape != arr.shape:
-                raise ModelFileError(
-                    f"tensor {path_name}: stored shape {shape} != expected {arr.shape}")
-            r.read_into(arr)
+        payloads = []
+        try:
+            for _, path_name, arr in iter_tensors(cfg, params):
+                ndim = r.u32()
+                if ndim != arr.ndim:
+                    raise ModelFileError(
+                        f"tensor {path_name}: stored ndim {ndim} != expected {arr.ndim}")
+                shape = tuple(r.u32() for _ in range(ndim))
+                if shape != arr.shape:
+                    raise ModelFileError(
+                        f"tensor {path_name}: stored shape {shape} != expected {arr.shape}")
+                payloads.append(r.payload(arr))
+        except ModelFileError:
+            # a serial reader would have met a short payload before this header
+            r.fill(payloads)
+            raise
+        r.fill(payloads)
     return params, cfg

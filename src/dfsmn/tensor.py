@@ -137,7 +137,8 @@ class Counter64:
 
 
 def _draw_workers() -> int:
-    """Threads a draw may use: one per CPU this process may run on."""
+    """Threads a draw or a model load may use: one per CPU this process may
+    run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

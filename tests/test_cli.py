@@ -388,7 +388,8 @@ class TestTrainEval:
             captured = capsys.readouterr()
             assert captured.out == ""
             errors[side] = captured.err
-        assert errors["data"] == "error: sequence train0001: missing stream 'uv'\n"
+        assert errors["data"] == (f"error: reference {tmp_path / 'data' / 'toy' / 'train'}: "
+                                  f"sequence train0001: missing stream 'uv'\n")
         assert errors["hyp"] == (f"error: hypothesis {tmp_path / 'hyp' / 'hyp'}: "
                                  f"sequence train0001: missing stream 'uv'\n")
 
@@ -451,7 +452,8 @@ class TestTrainEval:
         assert main(["eval", "--data", str(data / "train"),
                      "--hyp", str(data / "train")]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: sequence {seq_id}: missing stream {stream!r}\n"
+        assert captured.err == (f"error: reference {data / 'train'}: sequence {seq_id}: "
+                                f"missing stream {stream!r}\n")
         assert captured.out == ""
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -3,6 +3,8 @@ import json
 import os
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 from types import SimpleNamespace
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import test_acceptance
 from dfsmn import layers as L
 from dfsmn import network as net
-from dfsmn import features, model_io
+from dfsmn import features, model_io, tensor
 from dfsmn.features import (SequenceData, load_dataset, read_feature, read_manifest,
                             write_dataset, write_feature)
 from dfsmn.model_io import (MAGIC, VERSION, BadMagicError, ModelFileError,
@@ -910,6 +912,110 @@ class TestModelFile:
         assert sum(arr.size for _, _, arr in iter_tensors(cfg2, loaded)) == 14_187_595
 
 
+
+def shrink_at_first_read(monkeypatch, path, size):
+    """Cut path to size just before the loader's first payload read, after
+    its header pass: every payload past size then comes back short."""
+    real_preadv, lock, cut = os.preadv, threading.Lock(), []
+
+    def preadv(*args):
+        with lock:
+            if not cut:
+                os.truncate(path, size)
+                cut.append(size)
+        return real_preadv(*args)
+
+    monkeypatch.setattr(model_io.os, "preadv", preadv)
+
+
+class TestConcurrentLoad:
+    """load_model reads its payloads on tensor._draw_workers() threads."""
+
+    def _saved(self, tmp_path):
+        """A model whose tensors each hold their own values, saved; and the
+        file offset of each tensor's payload, in file order."""
+        cfg = expand_shorthand("2+1", "2,2,1,1", input_dim=40, hidden=256, proj=64)
+        params = zeros_network(cfg)
+        for i, (_, _, arr) in enumerate(iter_tensors(cfg, params)):
+            arr[...] = Counter64(i).normal(arr.size).reshape(arr.shape)
+        path = tmp_path / "m.dfsmn"
+        save_model(params, cfg, path)
+        offset = 12 + len(config_to_json(cfg).encode("utf-8"))
+        offsets = []
+        for _, _, arr in iter_tensors(cfg, params):
+            offset += 4 * (1 + arr.ndim)
+            offsets.append(offset)
+            offset += arr.nbytes
+        assert offset == path.stat().st_size
+        return cfg, params, path, offsets
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_equal_for_any_worker_count(self, tmp_path, monkeypatch, workers):
+        cfg, params, path, offsets = self._saved(tmp_path)
+        assert len(offsets) > workers
+        monkeypatch.setattr(tensor, "_draw_workers", lambda: workers)
+        real_preadv, readers = os.preadv, set()
+
+        def preadv(*args):
+            readers.add(threading.get_ident())
+            return real_preadv(*args)
+
+        monkeypatch.setattr(model_io.os, "preadv", preadv)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            loaded, _ = load_model(path)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        # one worker reads on the calling thread, more read on their own
+        assert (threading.get_ident() in readers) == (workers == 1)
+        for (_, _, a), (_, _, b) in zip(iter_tensors(cfg, params),
+                                        iter_tensors(cfg, loaded), strict=True):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+    def test_reads_returning_less_than_asked_are_continued(self, tmp_path, monkeypatch):
+        # as Linux does past 0x7ffff000 bytes per call
+        cfg, params, path, _ = self._saved(tmp_path)
+        real_preadv = os.preadv
+        monkeypatch.setattr(model_io.os, "preadv",
+                            lambda fd, bufs, offset: real_preadv(fd, [bufs[0][:1000]], offset))
+        loaded, _ = load_model(path)
+        monkeypatch.undo()
+        for (_, _, a), (_, _, b) in zip(iter_tensors(cfg, params),
+                                        iter_tensors(cfg, loaded), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_no_thread_outlives_the_load(self, tmp_path, monkeypatch):
+        _, _, path, offsets = self._saved(tmp_path)
+        monkeypatch.setattr(tensor, "_draw_workers", lambda: 3)
+        before = threading.enumerate()
+        load_model(path)
+        assert threading.enumerate() == before
+        shrink_at_first_read(monkeypatch, path, offsets[-1])
+        with pytest.raises(TruncatedFileError):
+            load_model(path)
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_shrinking_file_reports_its_first_short_payload(self, tmp_path, monkeypatch,
+                                                            workers):
+        cfg, params, path, offsets = self._saved(tmp_path)
+        sizes = [arr.nbytes for _, _, arr in iter_tensors(cfg, params)]
+        largest = sizes.index(max(sizes))
+        # cut inside the payload before the largest: both come back short,
+        # and the largest is read first
+        k = largest - 1
+        assert sizes[k] >= 8
+        cut = offsets[k] + sizes[k] // 2
+        monkeypatch.setattr(tensor, "_draw_workers", lambda: workers)
+        shrink_at_first_read(monkeypatch, path, cut)
+        with pytest.raises(TruncatedFileError, match=f"needed {sizes[k]} bytes at offset "
+                                                     f"{offsets[k]}, read {sizes[k] // 2}$"):
+            load_model(path)
+
+
 LOADER_ERRORS = (ModelFileError, ShapeError, ConfigError)
 
 
@@ -1006,6 +1112,20 @@ class TestMalformedFiles:
     @given(data=st.data())
     def test_mutated_file_loads_or_raises_typed_error(self, tmp_path, kind, data):
         path, load = small_file(tmp_path, kind)
+        path.write_bytes(data.draw(mutated(path.read_bytes())))
+        try:
+            load(path)
+        except LOADER_ERRORS:
+            pass
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_model_on_two_workers_loads_or_raises_typed_error(self, tmp_path,
+                                                                      monkeypatch, data):
+        # the concurrent payload pass, also on a one-CPU runner
+        monkeypatch.setattr(tensor, "_draw_workers", lambda: 2)
+        path, load = small_file(tmp_path, "model")
         path.write_bytes(data.draw(mutated(path.read_bytes())))
         try:
             load(path)
