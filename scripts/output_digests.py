@@ -4,12 +4,13 @@
 Runs, in process and in a few seconds: echo and acoustic_toy `synthdata`;
 `train` of a per-tap-walk net (orders 3,2) and a GEMM-path net (orders
 10,8) on the toy set, each with its history; `gradcheck` of an fp64 config;
-`eval --model` (both nets) and `eval --hyp` (two toy sets drawn from
-different seeds); and one full-width artifact, a preset-E packed forward
-and backward, run on the net after a save and load, whose per-tensor
-digests show GEMM, blocking and loader effects that the toy nets are too
-small to reach. Every artifact is written under --out
-and its digest is printed as "<sha256>  <artifact>", after a first line
+`eval --model` (both nets); `eval --hyp` of two toy sets drawn from
+different seeds, and of the echo set against itself, which skips all four
+acoustic measures and so pins their skip lines; and one full-width
+artifact, a preset-E packed forward and backward, run on the net after a
+save and load, whose per-tensor digests show GEMM, blocking and loader
+effects that the toy nets are too small to reach. Every artifact is
+written under --out and its digest is printed as "<sha256>  <artifact>", after a first line
 giving the BLAS thread count in effect, so two runs compare with `diff`.
 
 The digests depend on the BLAS build, its thread count and the CPU, so
@@ -169,8 +170,10 @@ def main(argv=None) -> int:
          "--seed", seed], out("gradcheck.txt"))
     run(["eval", "--data", out("toy/train"), "--hyp", out("toy_other/train")],
         out("eval_hyp.txt"))
+    run(["eval", "--data", out("echo/train"), "--hyp", out("echo/train")],
+        out("eval_hyp_echo.txt"))
     full_width(out("full_width_e.txt"))
-    artifacts += ["gradcheck.txt", "eval_hyp.txt", "full_width_e.txt"]
+    artifacts += ["gradcheck.txt", "eval_hyp.txt", "eval_hyp_echo.txt", "full_width_e.txt"]
 
     print(f"# blas_threads {stamp.environment(ROOT, SEED)['blas_threads']}")
     for name in artifacts:

@@ -105,10 +105,10 @@ def cmd_train(args) -> int:
 
 def _paired_streams(ref_dir, hyp_dir) -> tuple:
     """(ref, hyp) for eval --hyp: the streams both datasets carry, stacked in
-    ref_dir's order with hyp_dir's sequences paired by seq_id. Ids, frame
-    counts and stream widths must agree, each stream must have one width
-    across ref_dir, and every sequence must carry every scored stream; a
-    missing stream or a width fault names its directory."""
+    ref_dir's order with hyp_dir's sequences paired by seq_id. Ids and frame
+    counts must agree and some stream must be common; each stream's width is
+    that of the first reference sequence carrying it, and check_streams holds
+    the reference, then the hypothesis, to it, naming the directory."""
     ref_set, hyp_set = load_dataset(ref_dir), load_dataset(hyp_dir)
     by_id = {seq.seq_id: seq for seq in hyp_set}
     ref_ids = {seq.seq_id for seq in ref_set}
@@ -120,31 +120,31 @@ def _paired_streams(ref_dir, hyp_dir) -> tuple:
     if unequal:
         raise ValueError(f"hypothesis {hyp_dir}: frame counts differ from reference "
                          f"for {unequal}")
-    names = sorted(set().union(*(seq.targets for seq in ref_set))
-                   & set().union(*(seq.targets for seq in hyp_set)))
-    first = {}  # stream -> the first reference sequence carrying it
-    for seq in ref_set:
-        where = f"reference {ref_dir}: sequence {seq.seq_id}"
-        for name in names:
-            if name not in seq.targets:
-                raise ShapeError(f"{where}: missing stream {name!r}")
-            got = seq.targets[name].shape[1]
-            want = first.setdefault(name, seq).targets[name].shape[1]
-            if got != want:
-                raise ShapeError(f"{where}: stream {name!r} is {got} wide, sequence "
-                                 f"{first[name].seq_id}'s {want}")
-    ref = trainer.stack_targets(ref_set, names)
+    ref_names, hyp_names = (set().union(*(seq.targets for seq in dataset))
+                            for dataset in (ref_set, hyp_set))
+    names = sorted(ref_names & hyp_names)
+    if not names:
+        raise ValueError(f"no stream in common: reference {ref_dir} carries "
+                         f"{sorted(ref_names)}, hypothesis {hyp_dir} carries "
+                         f"{sorted(hyp_names)}")
+    dims = {name: next(seq.targets[name].shape[1] for seq in ref_set
+                       if name in seq.targets) for name in names}
     hyp_seqs = [by_id[seq.seq_id] for seq in ref_set]
-    for ref_seq, hyp_seq in zip(ref_set, hyp_seqs):
-        where = f"hypothesis {hyp_dir}: sequence {hyp_seq.seq_id}"
-        for name in names:
-            if name not in hyp_seq.targets:
-                raise ShapeError(f"{where}: missing stream {name!r}")
-            got, want = hyp_seq.targets[name].shape[1], ref_seq.targets[name].shape[1]
-            if got != want:
-                raise ShapeError(f"{where}: stream {name!r} is {got} wide, "
-                                 f"the reference {want}")
-    return ref, trainer.stack_targets(hyp_seqs, names)
+    trainer.check_streams(ref_set, dims, f"reference {ref_dir}: ")
+    trainer.check_streams(hyp_seqs, dims, f"hypothesis {hyp_dir}: ")
+    return trainer.stack_targets(ref_set, names), trainer.stack_targets(hyp_seqs, names)
+
+
+# eval's measures: (label, streams it needs, skip reason without them, score
+# of the stacked (ref, hyp)); a ValueError from the score skips it too
+MEASURES = (
+    ("mcd_db", {"mcep"}, "no mcep stream", lambda r, h: metrics.mcd(r["mcep"], h["mcep"])),
+    ("f0_rmse_hz", {"lf0", "uv"}, "needs lf0 and uv streams",
+     lambda r, h: metrics.f0_rmse(np.exp(r["lf0"][:, 0].astype(np.float64)),
+                                  h["lf0"].astype(np.float64), r["uv"], h["uv"])),
+    ("bapd", {"bap"}, "no bap stream", lambda r, h: metrics.bapd(r["bap"], h["bap"])),
+    ("uv_error", {"uv"}, "no uv stream", lambda r, h: metrics.uv_error(r["uv"], h["uv"])),
+)
 
 
 def cmd_eval(args) -> int:
@@ -157,35 +157,16 @@ def cmd_eval(args) -> int:
         hyp = trainer.predict(params, cfg, dataset)
         ref = trainer.stack_targets(dataset, hyp, cfg.dtype())
 
-    common = sorted(hyp)
-    print(f"streams: {' '.join(common)}")
+    print(f"streams: {' '.join(sorted(hyp))}")
     print(f"total_mse {metrics.total_mse(ref, hyp):.6g}")
-
-    if "mcep" in common:
-        try:
-            print(f"mcd_db {metrics.mcd(ref['mcep'], hyp['mcep']):.6g}")
-        except ShapeError as e:
-            print(f"mcd_db skipped ({e})")
-    else:
-        print("mcd_db skipped (no mcep stream)")
-    if "lf0" in common and "uv" in common:
-        ref_hz = np.exp(ref["lf0"][:, 0].astype(np.float64))
-        try:
-            value = metrics.f0_rmse(ref_hz, hyp["lf0"].astype(np.float64),
-                                    ref["uv"], hyp["uv"])
-            print(f"f0_rmse_hz {value:.6g}")
-        except ValueError as e:
-            print(f"f0_rmse_hz skipped ({e})")
-    else:
-        print("f0_rmse_hz skipped (needs lf0 and uv streams)")
-    if "bap" in common:
-        print(f"bapd {metrics.bapd(ref['bap'], hyp['bap']):.6g}")
-    else:
-        print("bapd skipped (no bap stream)")
-    if "uv" in common:
-        print(f"uv_error {metrics.uv_error(ref['uv'], hyp['uv']):.6g}")
-    else:
-        print("uv_error skipped (no uv stream)")
+    for label, needs, reason, score in MEASURES:
+        if needs <= hyp.keys():
+            try:
+                print(f"{label} {score(ref, hyp):.6g}")
+                continue
+            except ValueError as e:
+                reason = e
+        print(f"{label} skipped ({reason})")
     return 0
 
 

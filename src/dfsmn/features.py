@@ -45,11 +45,15 @@ def write_feature(path, stream_name: str, data: np.ndarray) -> None:
 def read_feature(path):
     """Returns (stream_name, T x D float32 array). The payload size the
     header claims is checked against the file's length before the array is
-    allocated, and the payload is read into it by _FileReader.fill."""
+    allocated, and the payload is read into it by _FileReader.fill. A NaN or
+    Inf value raises ModelFileError naming the file and its first place."""
     with _FileReader.framed(path, FEATURE_MAGIC, FEATURE_VERSION) as r:
         frames, dim = r.u32(), r.u32()
         name = r.text("stream name")
         data = r.read_array((frames, dim), np.float32)
+    if not np.isfinite(data).all():
+        t, d = np.argwhere(~np.isfinite(data))[0]
+        raise ModelFileError(f"{path}: non-finite value at frame {t}, dim {d}")
     return name, data
 
 

@@ -7,7 +7,8 @@ acoustic toy for overfit sanity runs.
 Training steps run network.forward and the update mode of network.backward.
 Everything that only needs outputs (predict, and with it validation and
 evaluation, and grad_check's loss probes) runs network.infer, which keeps
-no cache for backward.
+no cache for backward. check_streams is the one stream rule that training
+and `dfsmn eval` hold every dataset to.
 """
 
 from __future__ import annotations
@@ -373,21 +374,33 @@ class EpochStats:
     valid_mse: float
 
 
+def check_streams(dataset, dims: dict, where: str = "") -> None:
+    """The stream rule of every dataset: each sequence carries each stream of
+    dims (name -> width) as a frames x width array, or ShapeError names
+    where (a prefix such as "reference DIR: "), the sequence and the stream."""
+    for seq in dataset:
+        at = f"{where}sequence {seq.seq_id}"
+        for name, dim in dims.items():
+            if name not in seq.targets:
+                raise ShapeError(f"{at}: missing stream {name!r}")
+            got, want = seq.targets[name].shape, (seq.frames, dim)
+            if got != want:
+                raise ShapeError(f"{at}: stream {name!r} shape {got} != {want}")
+
+
 def check_dataset(cfg: NetworkConfig, dataset) -> None:
+    """Non-empty, and each sequence in turn has frames, cfg's input width and
+    cfg's output streams."""
     if not dataset:
         raise ValueError("empty dataset")
+    dims = {s.name: s.dim for s in cfg.output_streams}
     for seq in dataset:
         if seq.frames == 0:
             raise ShapeError(f"sequence {seq.seq_id}: no frames")
         if seq.inputs.shape[1] != cfg.input_dim:
             raise ShapeError(f"sequence {seq.seq_id}: input dim {seq.inputs.shape[1]} "
                              f"!= configured {cfg.input_dim}")
-        for s in cfg.output_streams:
-            got = _stream(seq, s.name).shape
-            want = (seq.frames, s.dim)
-            if got != want:
-                raise ShapeError(f"sequence {seq.seq_id}: stream {s.name!r} shape "
-                                 f"{got} != {want}")
+        check_streams([seq], dims)
 
 
 def predict(params, cfg, dataset) -> dict:

@@ -362,7 +362,7 @@ class TestTrainEval:
         assert main(["eval", "--data", str(ref), "--hyp", str(hyp)]) == 2
         captured = capsys.readouterr()
         assert captured.err == (f"error: hypothesis {hyp}: sequence train0001: "
-                                f"stream 'mcep' is 5 wide, the reference 6\n")
+                                f"stream 'mcep' shape (10, 5) != (10, 6)\n")
         assert captured.out == ""
 
     def test_eval_hyp_reference_widths_differ_exits_2(self, tmp_path, capsys):
@@ -375,7 +375,7 @@ class TestTrainEval:
         assert main(["eval", "--data", str(ref), "--hyp", str(hyp)]) == 2
         captured = capsys.readouterr()
         assert captured.err == (f"error: reference {ref}: sequence train0001: "
-                                f"stream 'mcep' is 5 wide, sequence train0000's 6\n")
+                                f"stream 'mcep' shape (10, 5) != (10, 6)\n")
         assert captured.out == ""
 
     def test_eval_stream_missing_names_its_side(self, tmp_path, capsys):
@@ -587,6 +587,101 @@ class TestTrainEval:
         mse = float(next(line.split()[1] for line in out.splitlines()
                          if line.startswith("total_mse")))
         assert mse < 0.05
+
+
+def _echo_model(tmp_path):
+    """An untrained echo model file (ECHO_TRAIN_CONFIG)."""
+    cfg = parse_config(json.dumps(ECHO_TRAIN_CONFIG))
+    model = tmp_path / "m.dfsmn"
+    save_model(build_network(cfg, 0), cfg, str(model))
+    return str(model)
+
+
+def _echo_run(tmp_path, data, mode):
+    """(argv, the directory it reads that a fault is planted in, the prefix
+    naming that directory in an error) for one way of reading the echo set
+    data: train, eval --model, or either side of eval --hyp against a copy."""
+    if mode == "train":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(ECHO_TRAIN_CONFIG))
+        return (["train", "--config", str(cfg), "--data", str(data), "--out",
+                 str(tmp_path / "out.dfsmn"), "--epochs", "1"], data / "train", "")
+    if mode == "eval-model":
+        return (["eval", "--model", _echo_model(tmp_path), "--data", str(data / "train")],
+                data / "train", "")
+    ref, hyp = data / "train", tmp_path / "hyp"
+    shutil.copytree(ref, hyp)
+    faulty = {"eval-hyp-reference": ref, "eval-hyp-hypothesis": hyp}[mode]
+    side = mode.rsplit("-", 1)[1]
+    return ["eval", "--data", str(ref), "--hyp", str(hyp)], faulty, f"{side} {faulty}: "
+
+
+RUN_MODES = ["train", "eval-model", "eval-hyp-reference", "eval-hyp-hypothesis"]
+
+
+class TestStreamRule:
+    """train, eval --model and both sides of eval --hyp hold their data to one
+    stream rule, and name a fault the same way."""
+
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    @pytest.mark.parametrize("fault,message", [
+        ("missing", "sequence train0001: missing stream 'echo'"),
+        ("wide", "sequence train0001: stream 'echo' shape (16, 2) != (16, 1)"),
+    ], ids=["missing", "wide"])
+    def test_stream_fault_gives_one_message(self, tmp_path, echo_data, capsys, mode,
+                                            fault, message):
+        argv, faulty, prefix = _echo_run(tmp_path, echo_data, mode)
+        path = faulty / "train0001.echo.feat"
+        if fault == "missing":
+            path.unlink()
+        else:
+            write_feature(path, "echo", np.zeros((16, 2), np.float32))
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {prefix}{message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    @pytest.mark.parametrize("stream", ["input", "echo"])
+    def test_non_finite_feature_value_exits_2_naming_the_file(self, tmp_path, echo_data,
+                                                              capsys, mode, stream):
+        argv, faulty, _ = _echo_run(tmp_path, echo_data, mode)
+        path = faulty / f"train0002.{stream}.feat"
+        _, data = read_feature(path)
+        data[3, 0] = np.nan
+        write_feature(path, stream, data)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: non-finite value at frame 3, dim 0\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out.dfsmn").exists()
+
+    def test_eval_hyp_with_no_common_stream_exits_2(self, tmp_path, echo_data, capsys):
+        toy = tmp_path / "toy"
+        assert main(["synthdata", "--task", "acoustic_toy", "--dim", "1",
+                     "--sequences", "6", "--len", "16", "--out", str(toy)]) == 0
+        ref, hyp = echo_data / "train", toy / "train"
+        capsys.readouterr()
+        assert main(["eval", "--data", str(ref), "--hyp", str(hyp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: no stream in common: reference {ref} carries "
+                                f"['echo'], hypothesis {hyp} carries "
+                                f"['bap', 'lf0', 'mcep', 'uv']\n")
+        assert captured.out == ""
+
+    def test_eval_hyp_skips_every_measure_the_echo_set_lacks(self, echo_data, capsys):
+        ref = str(echo_data / "train")
+        capsys.readouterr()
+        assert main(["eval", "--data", ref, "--hyp", ref]) == 0
+        assert capsys.readouterr().out == (
+            "streams: echo\n"
+            "total_mse 0\n"
+            "mcd_db skipped (no mcep stream)\n"
+            "f0_rmse_hz skipped (needs lf0 and uv streams)\n"
+            "bapd skipped (no bap stream)\n"
+            "uv_error skipped (no uv stream)\n")
 
 
 class TestUsage:

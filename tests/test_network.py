@@ -1043,6 +1043,17 @@ class TestMalformedFiles:
         with pytest.raises(ModelFileError, match=what):
             load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_value_names_the_file(self, tmp_path, value):
+        path, _ = small_file(tmp_path, "feature")
+        _, data = read_feature(path)
+        data[2, 1] = data[1, 0] = value  # the first in row-major order is named
+        write_feature(path, "mcep", data)
+        with pytest.raises(ModelFileError,
+                           match=rf"^{re.escape(str(path))}: non-finite value at "
+                                 rf"frame 1, dim 0$"):
+            read_feature(path)
+
     def _streamed_model(self, tmp_path):
         """A model file of about 0.55 MB: a loader that also held the file's
         bytes would pass 1 MB."""
