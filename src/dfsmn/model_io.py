@@ -88,18 +88,25 @@ class _FileReader:
     @contextmanager
     def framed(cls, path, magic: bytes, version: int):
         """A reader of path, which must open with magic and version; a block
-        that ends without error must have read the whole file."""
-        with open(path, "rb") as f:
-            r = cls(f)
-            got = r.take(len(magic))
-            if got != magic:
-                raise BadMagicError(f"bad magic {got!r}, expected {magic!r}")
-            got = r.u32()
-            if got != version:
-                raise VersionMismatchError(f"file version {got}, reader supports {version}")
-            yield r
-            if r.pos != r.size:
-                raise ModelFileError(f"{r.size - r.pos} trailing bytes at offset {r.pos}")
+        that ends without error must have read the whole file. Every
+        ModelFileError raised in the block, or by these checks, keeps its
+        type and gains the prefix "path: "."""
+        try:
+            with open(path, "rb") as f:
+                r = cls(f)
+                got = r.take(len(magic))
+                if got != magic:
+                    raise BadMagicError(f"bad magic {got!r}, expected {magic!r}")
+                got = r.u32()
+                if got != version:
+                    raise VersionMismatchError(
+                        f"file version {got}, reader supports {version}")
+                yield r
+                if r.pos != r.size:
+                    raise ModelFileError(f"{r.size - r.pos} trailing bytes at offset {r.pos}")
+        except ModelFileError as e:
+            e.args = (f"{path}: {e}",)
+            raise
 
     def _check_left(self, n: int) -> None:
         """The next n bytes must lie inside the file."""

@@ -10,8 +10,9 @@ finalizer over a 64-bit counter, Box-Muller for normals) rather than numpy's
 Generator, so that a given seed produces bit-identical streams on any platform
 or language that reimplements the same 20 lines. Because the generator is
 seekable, seeded_normal splits a large draw into pieces that each read their
-own counter range, and fills them on one thread per available core; the
-bytes do not depend on how many threads ran or in what order.
+own counter range, and fills them on one thread per available core with the
+Box-Muller fill that Counter64.normal uses; the bytes do not depend on how
+many threads ran or in what order.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of SplitMix64
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+_FINALIZER = ((30, _MIX1), (27, _MIX2), (31, None))  # x ^= x >> shift; x *= mix
 # Values seeded_normal holds in flight: 64k Box-Muller pairs, split into one
 # piece per worker thread, each piece a whole number of pairs so that every
 # piece but the last consumes exactly its own counter slots.
@@ -60,12 +62,20 @@ def as_sequence(x, dtype=None) -> np.ndarray:
 def _mix64(x: int) -> int:
     """SplitMix64 finalizer on a python int (used for seed derivation)."""
     x &= _MASK64
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK64
-    x ^= x >> 31
+    for shift, mix in _FINALIZER:
+        x ^= x >> shift
+        if mix is not None:
+            x = (x * mix) & _MASK64
     return x
+
+
+def _finalize(z: np.ndarray, scratch: np.ndarray) -> None:
+    """SplitMix64 finalizer on uint64 z in place, overwriting scratch."""
+    for shift, mix in _FINALIZER:
+        np.right_shift(z, _U64(shift), out=scratch)
+        z ^= scratch
+        if mix is not None:
+            z *= _U64(mix)
 
 
 def derive_seed(seed: int, *tags: int) -> int:
@@ -84,8 +94,8 @@ class Counter64:
     """Counter-based PRNG: out[k] = splitmix_finalize(seed + (k+1) * GAMMA).
 
     The state is just (seed, counter); drawing n values consumes n counter
-    slots, so streams are reproducible and trivially seekable. Normal variates
-    use the Box-Muller transform on pairs of uniforms.
+    slots, so streams are reproducible and trivially seekable. normal(n) turns
+    each pair of slots into two normals (Box-Muller) and consumes n + n % 2.
     """
 
     def __init__(self, seed: int):
@@ -96,11 +106,7 @@ class Counter64:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=_U64)
         self.counter += n
         z = _U64(self.seed) + idx * _U64(_GAMMA)
-        z ^= z >> _U64(30)
-        z *= _U64(_MIX1)
-        z ^= z >> _U64(27)
-        z *= _U64(_MIX2)
-        z ^= z >> _U64(31)
+        _finalize(z, idx)
         return z
 
     def uniform(self, n: int) -> np.ndarray:
@@ -109,15 +115,11 @@ class Counter64:
         return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
     def normal(self, n: int) -> np.ndarray:
-        m = (n + 1) // 2
-        u = self.uniform(2 * m)
-        u1, u2 = u[0::2], u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        out = np.empty(2 * m, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        out, slots = np.empty(n), n + n % 2
+        steps = np.arange(1, slots + 1, dtype=_U64) * _U64(_GAMMA)
+        _NormalPieces(steps).fill(self.seed, self.counter, out, 1.0)
+        self.counter += slots
+        return out
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection sampling."""
@@ -146,8 +148,8 @@ def _draw_workers() -> int:
 
 
 class _NormalPieces:
-    """Draws pieces of a seed's normal stream with Counter64.normal's
-    arithmetic, op for op, into buffers made by the constructor.
+    """Draws pieces of a seed's normal stream into buffers made by the
+    constructor.
 
     A worker thread that fills pieces therefore allocates nothing. glibc
     keeps what a thread frees in that thread's own arena, where the caller's
@@ -162,16 +164,13 @@ class _NormalPieces:
         self.trig = np.empty(steps.size // 2)
 
     def fill(self, seed: int, start: int, dst: np.ndarray, stddev: float) -> None:
-        """dst[...] = stddev * values start, start + 1, ... of
-        Counter64(seed).normal; start is even, so dst begins on a pair."""
+        """dst[...] = stddev * Box-Muller normals of seed's counter slots
+        start + 1, start + 2, ..., a pair per two slots, from any start. The
+        pieces of one seeded_normal draw start even to pair as the draw does."""
         m = (dst.size + 1) // 2
         z, t = self.bits[:2 * m], self.spare[:2 * m]
         np.add(self.steps[:2 * m], _U64((seed + start * _GAMMA) & _MASK64), out=z)
-        for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
-            np.right_shift(z, _U64(shift), out=t)
-            z ^= t
-            if mix is not None:
-                z *= _U64(mix)
+        _finalize(z, t)
         z >>= _U64(11)
         u = t.view(np.float64)
         u[...] = z

@@ -267,7 +267,8 @@ class SyntheticTaskSpec:
     single regression stream y[t] = x[t - lag] (zeros before the lag) plus
     optional noise. kind "acoustic_toy": four reduced-size streams, of the
     widths in TOY_DIMS, that are fixed deterministic maps of the input frame,
-    so a matching network can drive the training loss to ~0. The validation
+    so a matching network can drive the training loss to ~0; it takes no lag
+    and no noise, so both must stay 0. The validation
     set holds max(1, num_sequences // 4) sequences of the same kind."""
 
     kind: str = "echo"
@@ -287,6 +288,11 @@ class SyntheticTaskSpec:
             raise ValueError(f"lag must satisfy 0 <= lag < seq_len, got {self.lag}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.kind == "acoustic_toy":
+            for knob in ("lag", "noise_std"):
+                if getattr(self, knob):
+                    raise ValueError(f"{knob} must be 0 for acoustic_toy, which does "
+                                     f"not read it, got {getattr(self, knob)}")
 
 
 def _echo_sequence(spec: SyntheticTaskSpec, seq_seed: int, seq_id: str) -> SequenceData:
@@ -376,14 +382,17 @@ class EpochStats:
 
 def check_streams(dataset, dims: dict, where: str = "") -> None:
     """The stream rule of every dataset: each sequence carries each stream of
-    dims (name -> width) as a frames x width array, or ShapeError names
-    where (a prefix such as "reference DIR: "), the sequence and the stream."""
+    dims (name -> width) as a frames x width array at least 1 wide, or
+    ShapeError names where (a prefix such as "reference DIR: "), the
+    sequence and the stream."""
     for seq in dataset:
         at = f"{where}sequence {seq.seq_id}"
         for name, dim in dims.items():
             if name not in seq.targets:
                 raise ShapeError(f"{at}: missing stream {name!r}")
             got, want = seq.targets[name].shape, (seq.frames, dim)
+            if got[1:] == (0,):
+                raise ShapeError(f"{at}: stream {name!r} is 0 wide")
             if got != want:
                 raise ShapeError(f"{at}: stream {name!r} shape {got} != {want}")
 

@@ -172,6 +172,19 @@ class TestSynthdata:
         assert main(["synthdata", "--out", str(tmp_path / "d")]) == 1
         assert seen == [(trainer.SyntheticTaskSpec(), 0)]
 
+    @pytest.mark.parametrize("flag,value,knob", [("--lag", "5", "lag"),
+                                                 ("--noise-std", "0.5", "noise_std")])
+    def test_toy_knob_it_ignores_exits_2_before_writing(self, tmp_path, capsys, flag,
+                                                        value, knob):
+        out = tmp_path / "d"
+        assert main(["synthdata", "--task", "acoustic_toy", "--out", str(out),
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {knob} must be 0 for acoustic_toy, which does "
+                                f"not read it, got {value}\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_valid_sequences_flag_is_gone(self, tmp_path, capsys):
         assert main(["synthdata", "--out", str(tmp_path / "d"),
                      "--valid-sequences", "2"]) == 2
@@ -627,7 +640,8 @@ class TestStreamRule:
     @pytest.mark.parametrize("fault,message", [
         ("missing", "sequence train0001: missing stream 'echo'"),
         ("wide", "sequence train0001: stream 'echo' shape (16, 2) != (16, 1)"),
-    ], ids=["missing", "wide"])
+        ("0-wide", "sequence train0001: stream 'echo' is 0 wide"),
+    ], ids=["missing", "wide", "0-wide"])
     def test_stream_fault_gives_one_message(self, tmp_path, echo_data, capsys, mode,
                                             fault, message):
         argv, faulty, prefix = _echo_run(tmp_path, echo_data, mode)
@@ -635,7 +649,8 @@ class TestStreamRule:
         if fault == "missing":
             path.unlink()
         else:
-            write_feature(path, "echo", np.zeros((16, 2), np.float32))
+            width = {"wide": 2, "0-wide": 0}[fault]
+            write_feature(path, "echo", np.zeros((16, width), np.float32))
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -657,6 +672,50 @@ class TestStreamRule:
         assert captured.err == f"error: {path}: non-finite value at frame 3, dim 0\n"
         assert captured.out == ""
         assert not (tmp_path / "out.dfsmn").exists()
+
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    def test_header_fault_exits_2_naming_the_file(self, tmp_path, echo_data, capsys,
+                                                  mode):
+        argv, faulty, _ = _echo_run(tmp_path, echo_data, mode)
+        path = faulty / "train0002.echo.feat"
+        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: bad magic b'XXXX', expected b'FEAT'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("side", ["reference", "hypothesis"])
+    def test_eval_hyp_0_wide_lf0_exits_2(self, tmp_path, capsys, side):
+        # a 0-wide lf0 would leave f0_rmse_hz no column 0 to read
+        data = tmp_path / "toy"
+        assert main(["synthdata", "--task", "acoustic_toy", "--dim", "4",
+                     "--sequences", "4", "--len", "10", "--out", str(data)]) == 0
+        ref, hyp = data / "train", tmp_path / "hyp"
+        shutil.copytree(ref, hyp)
+        faulty = {"reference": ref, "hypothesis": hyp}[side]
+        for seq_id, frames in read_manifest(faulty):
+            write_feature(faulty / f"{seq_id}.lf0.feat", "lf0",
+                          np.zeros((frames, 0), np.float32))
+        capsys.readouterr()
+        assert main(["eval", "--data", str(ref), "--hyp", str(hyp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {side} {faulty}: sequence train0000: "
+                                f"stream 'lf0' is 0 wide\n")
+        assert captured.out == ""
+
+    def test_eval_hyp_only_common_stream_0_wide_exits_2(self, tmp_path, capsys):
+        def dataset(path, streams):
+            write_dataset(path, [SequenceData("u0", np.zeros((5, 1), np.float32),
+                                              {name: np.zeros((5, width), np.float32)
+                                               for name, width in streams.items()})])
+        ref, hyp = tmp_path / "ref", tmp_path / "hyp"
+        dataset(ref, {"lf0": 0, "bap": 2})
+        dataset(hyp, {"lf0": 0, "mcep": 3})
+        assert main(["eval", "--data", str(ref), "--hyp", str(hyp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: reference {ref}: sequence u0: stream 'lf0' is 0 wide\n"
+        assert captured.out == ""
 
     def test_eval_hyp_with_no_common_stream_exits_2(self, tmp_path, echo_data, capsys):
         toy = tmp_path / "toy"

@@ -1122,12 +1122,16 @@ class TestMalformedFiles:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_mutated_file_loads_or_raises_typed_error(self, tmp_path, kind, data):
+        # a feature file fails only with ModelFileError, so its every message
+        # names the file
         path, load = small_file(tmp_path, kind)
         path.write_bytes(data.draw(mutated(path.read_bytes())))
         try:
             load(path)
-        except LOADER_ERRORS:
-            pass
+        except LOADER_ERRORS as e:
+            assert kind == "model" or isinstance(e, ModelFileError)
+            if isinstance(e, ModelFileError):
+                assert str(e).startswith(f"{path}: ") and str(e).count(str(path)) == 1
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
