@@ -7,6 +7,12 @@ every matrix product against a k x n weight costs 2*k*n per frame (multiply
 and add each count 1), the memory block costs 2 * (n_back + 1 + n_ahead) *
 proj per frame, and biases and activations cost 1 per scalar (linear
 included). Frame shift is 5 ms, i.e. 200 frames per second of speech.
+
+This package counts 2 operations per multiply-add; the published table
+counts 1. Its GFLOPS steps between presets (D -> E, E -> F, F -> I) match
+half the counted steps to the table's 0.01 rounding. Its totals exceed half
+the counted totals by about 1.24 GFLOPS on every preset, and its sizes the
+counted sizes by 7.8-8.7 MB: a fixed part that the presets here lack.
 """
 
 from __future__ import annotations

@@ -27,7 +27,12 @@ def _load_config_arg(args) -> net.NetworkConfig:
     if getattr(args, "preset", None):
         return preset_config(args.preset)
     with open(args.config) as f:
-        return parse_config(f.read())
+        text = f.read()
+    try:
+        return parse_config(text)
+    except ConfigError as e:
+        e.args = (f"{args.config}: {e}",)
+        raise
 
 
 def cmd_analyze(args) -> int:
@@ -92,8 +97,7 @@ def cmd_train(args) -> int:
     params = net.build_network(cfg, args.seed)
     params, history = trainer.train(cfg, params, train_set, tc, valid_set)
     save_model(params, cfg, args.out)
-    history_path = args.history or args.out + ".history"
-    with open(history_path, "w") as f:
+    with open(args.out + ".history", "w") as f:
         for row in history:
             f.write(f"{row.epoch}\t{row.lr:.10g}\t{row.train_mse:.10g}"
                     f"\t{row.valid_mse:.10g}\n")
@@ -212,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--preset")
     g.add_argument("--config")
     p.add_argument("--data", required=True, help="directory with train/ and valid/")
-    p.add_argument("--out", required=True, help="model file to write")
+    p.add_argument("--out", required=True,
+                   help="model file to write; its epoch history goes to OUT.history")
     p.add_argument("--lr", type=float, default=train_cfg.lr)
     p.add_argument("--epochs", type=int, default=train_cfg.max_epochs)
     p.add_argument("--batch-frames", type=int, default=train_cfg.batch_frames)
     p.add_argument("--min-improvement", type=float, default=train_cfg.min_improvement)
     p.add_argument("--patience", type=int, default=train_cfg.patience)
     p.add_argument("--seed", type=int, default=train_cfg.seed)
-    p.add_argument("--history", help="history file (default MODEL.history)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="objective measures of a model on a dataset")

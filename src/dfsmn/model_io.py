@@ -37,8 +37,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import tensor
-from .network import (NetworkConfig, NetworkParams, _alloc_network, config_to_json,
-                      count_params, iter_tensors, parse_config)
+from .network import (ConfigError, NetworkConfig, NetworkParams, _alloc_network,
+                      config_to_json, count_params, iter_tensors, parse_config)
 
 MAGIC = b"DFSM"
 VERSION = 1
@@ -89,8 +89,8 @@ class _FileReader:
     def framed(cls, path, magic: bytes, version: int):
         """A reader of path, which must open with magic and version; a block
         that ends without error must have read the whole file. Every
-        ModelFileError raised in the block, or by these checks, keeps its
-        type and gains the prefix "path: "."""
+        ModelFileError or ConfigError raised in the block, or by these
+        checks, keeps its type and gains the prefix "path: "."""
         try:
             with open(path, "rb") as f:
                 r = cls(f)
@@ -104,7 +104,7 @@ class _FileReader:
                 yield r
                 if r.pos != r.size:
                     raise ModelFileError(f"{r.size - r.pos} trailing bytes at offset {r.pos}")
-        except ModelFileError as e:
+        except (ModelFileError, ConfigError) as e:
             e.args = (f"{path}: {e}",)
             raise
 

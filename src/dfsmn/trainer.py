@@ -1,8 +1,9 @@
 """Single-worker SGD training with multi-task frame-level MSE, plus the
 verification and desk-scale experiment tooling around it: finite-difference
-gradient checking, a lagged-copy ("echo") task that probes whether a given
-receptive field can learn a dependency of known length, and a tiny four-stream
-acoustic toy for overfit sanity runs.
+gradient checking, and one generator of synthetic data for two tasks: a
+lagged-copy ("echo") task that probes whether a given receptive field can
+learn a dependency of known length, and a tiny four-stream acoustic toy,
+lagged the same way, for overfit sanity runs and context sweeps.
 
 Training steps run network.forward and the update mode of network.backward.
 Everything that only needs outputs (predict, and with it validation and
@@ -263,13 +264,15 @@ def _check_skip_gradient(cfg, cache, report, rng):
 
 @dataclass
 class SyntheticTaskSpec:
-    """Parameters of the generated datasets. kind "echo": white-noise input,
-    single regression stream y[t] = x[t - lag] (zeros before the lag) plus
-    optional noise. kind "acoustic_toy": four reduced-size streams, of the
-    widths in TOY_DIMS, that are fixed deterministic maps of the input frame,
-    so a matching network can drive the training loss to ~0; it takes no lag
-    and no noise, so both must stay 0. The validation
-    set holds max(1, num_sequences // 4) sequences of the same kind."""
+    """Parameters of the generated datasets. Each sequence has a white-noise
+    input x, and each target stream is a fixed linear map of x[t - lag]
+    (zeros before the lag) plus optional noise of std noise_std. kind "echo":
+    one stream, ECHO_STREAM, whose map is the identity, so y[t] = x[t - lag].
+    kind "acoustic_toy": four reduced-size streams of the widths in TOY_DIMS,
+    whose maps are drawn from the seed, with the voicing stream squashed
+    into (0, 1) after its noise; at lag 0 and no noise a matching network
+    can drive the training loss to ~0. The validation set holds
+    max(1, num_sequences // 4) sequences of the same kind."""
 
     kind: str = "echo"
     input_dim: int = 1
@@ -288,68 +291,54 @@ class SyntheticTaskSpec:
             raise ValueError(f"lag must satisfy 0 <= lag < seq_len, got {self.lag}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.kind == "acoustic_toy":
-            for knob in ("lag", "noise_std"):
-                if getattr(self, knob):
-                    raise ValueError(f"{knob} must be 0 for acoustic_toy, which does "
-                                     f"not read it, got {getattr(self, knob)}")
 
 
-def _echo_sequence(spec: SyntheticTaskSpec, seq_seed: int, seq_id: str) -> SequenceData:
+def _sequence(spec: SyntheticTaskSpec, maps: dict, seq_seed: int,
+              seq_id: str) -> SequenceData:
+    """x drawn from seq_seed, then, in sorted name order, each stream
+    x[t - lag] @ maps[name] plus noise_std times the next normal draws of
+    the same generator."""
     rng = Counter64(seq_seed)
     T, D = spec.seq_len, spec.input_dim
     x = rng.normal(T * D).reshape(T, D)
-    y = np.zeros_like(x)
-    if spec.lag == 0:
-        y[:] = x
-    else:
-        y[spec.lag:] = x[:-spec.lag]
-    if spec.noise_std > 0:
-        y = y + spec.noise_std * rng.normal(T * D).reshape(T, D)
-    return SequenceData(seq_id, x.astype(np.float32),
-                        {ECHO_STREAM: y.astype(np.float32)})
-
-
-def _split(spec: SyntheticTaskSpec, seed: int, stream: int, make) -> tuple:
-    """(train, valid) of spec.num_sequences and max(1, num_sequences // 4)
-    sequences; sequence i of train is make(derive_seed(seed, stream, i), seq_id),
-    of valid make(derive_seed(seed, stream + 1, i), seq_id)."""
-    train = [make(derive_seed(seed, stream, i), f"train{i:04d}")
-             for i in range(spec.num_sequences)]
-    valid = [make(derive_seed(seed, stream + 1, i), f"valid{i:04d}")
-             for i in range(max(1, spec.num_sequences // 4))]
-    return train, valid
-
-
-def gen_echo_task(spec: SyntheticTaskSpec, seed: int):
-    """Deterministic (train, validation) sets for the lagged-copy task."""
-    return _split(spec, seed, 0, lambda s, seq_id: _echo_sequence(spec, s, seq_id))
-
-
-def _toy_maps(spec: SyntheticTaskSpec, seed: int) -> dict:
-    scale = 1.0 / math.sqrt(spec.input_dim)
-    return {name: seeded_normal(derive_seed(seed, 42, k), spec.input_dim, dim,
-                                stddev=scale)
-            for k, (name, dim) in enumerate(sorted(TOY_DIMS.items()))}
-
-
-def _toy_sequence(spec, maps, seq_seed, seq_id) -> SequenceData:
-    rng = Counter64(seq_seed)
-    x = rng.normal(spec.seq_len * spec.input_dim).reshape(spec.seq_len, spec.input_dim)
+    lagged = np.zeros_like(x)
+    lagged[spec.lag:] = x[:T - spec.lag]
     targets = {}
-    for name, w in maps.items():
-        y = x @ w
+    for name in sorted(maps):
+        y = lagged @ maps[name]
+        if spec.noise_std > 0:
+            y += spec.noise_std * rng.normal(y.size).reshape(y.shape)
         if name == "uv":
             y = 1.0 / (1.0 + np.exp(-2.0 * y))  # smooth voicing score in (0,1)
         targets[name] = y.astype(np.float32)
     return SequenceData(seq_id, x.astype(np.float32), targets)
 
 
+def _split(spec: SyntheticTaskSpec, seed: int, stream: int, maps: dict) -> tuple:
+    """(train, valid) of spec.num_sequences and max(1, num_sequences // 4)
+    sequences of maps; sequence i of train is drawn from
+    derive_seed(seed, stream, i), of valid from derive_seed(seed, stream + 1, i)."""
+    train = [_sequence(spec, maps, derive_seed(seed, stream, i), f"train{i:04d}")
+             for i in range(spec.num_sequences)]
+    valid = [_sequence(spec, maps, derive_seed(seed, stream + 1, i), f"valid{i:04d}")
+             for i in range(max(1, spec.num_sequences // 4))]
+    return train, valid
+
+
+def gen_echo_task(spec: SyntheticTaskSpec, seed: int):
+    """Deterministic (train, validation) sets for the lagged-copy task. The
+    identity map copies exactly: each output is one product x * 1 plus zeros."""
+    return _split(spec, seed, 0, {ECHO_STREAM: np.eye(spec.input_dim)})
+
+
 def gen_acoustic_toy_task(spec: SyntheticTaskSpec, seed: int):
     """Four-stream toy regression data; targets are fixed random linear maps
-    of the input frame (squashed through a sigmoid for the voicing stream)."""
-    maps = _toy_maps(spec, seed)
-    return _split(spec, seed, 2, lambda s, seq_id: _toy_sequence(spec, maps, s, seq_id))
+    of the lagged input (squashed through a sigmoid for the voicing stream)."""
+    scale = 1.0 / math.sqrt(spec.input_dim)
+    maps = {name: seeded_normal(derive_seed(seed, 42, k), spec.input_dim, dim,
+                                stddev=scale)
+            for k, (name, dim) in enumerate(sorted(TOY_DIMS.items()))}
+    return _split(spec, seed, 2, maps)
 
 
 def gen_task(spec: SyntheticTaskSpec, seed: int):

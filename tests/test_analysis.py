@@ -186,5 +186,12 @@ class TestTableReport:
         assert PUBLISHED_REFERENCE["E"] == (87.0, 5.35)
         assert PUBLISHED_REFERENCE["I"] == (122.0, 7.18)
 
+    @pytest.mark.parametrize("a,b", [("D", "E"), ("E", "F"), ("F", "I")])
+    def test_published_steps_count_one_op_per_multiply_add(self, a, b):
+        # each published value is rounded to 0.01, so a step is within 0.01
+        counted = {n: analyze(preset_config(n), n).gflops_per_second for n in (a, b)}
+        published = PUBLISHED_REFERENCE[b][1] - PUBLISHED_REFERENCE[a][1]
+        assert abs(published - (counted[b] - counted[a]) / 2) <= 0.01
+
     def test_size_helper(self):
         assert size_mb(2**20) == 4.0

@@ -10,8 +10,8 @@ import pytest
 from dfsmn import cli, trainer
 from dfsmn import network as net
 from dfsmn.cli import build_parser, main
-from dfsmn.features import (SequenceData, read_feature, read_manifest, write_dataset,
-                            write_feature)
+from dfsmn.features import (SequenceData, load_dataset, read_feature, read_manifest,
+                            write_dataset, write_feature)
 from dfsmn.model_io import MAGIC, VERSION, save_model
 from dfsmn.network import build_network, config_to_json, expand_shorthand, parse_config
 from dfsmn.tensor import Counter64
@@ -77,6 +77,16 @@ class TestAnalyze:
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["analyze", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "gradcheck"])
+    def test_invalid_config_exits_2_naming_the_file(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(ECHO_TRAIN_CONFIG, layers=[
+            dict(ECHO_TRAIN_CONFIG["layers"][0], hidden=0)])))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}: layers[0].hidden: must be >= 1, got 0\n"
+        assert captured.out == ""
 
 
 class TestGradcheck:
@@ -172,18 +182,22 @@ class TestSynthdata:
         assert main(["synthdata", "--out", str(tmp_path / "d")]) == 1
         assert seen == [(trainer.SyntheticTaskSpec(), 0)]
 
-    @pytest.mark.parametrize("flag,value,knob", [("--lag", "5", "lag"),
-                                                 ("--noise-std", "0.5", "noise_std")])
-    def test_toy_knob_it_ignores_exits_2_before_writing(self, tmp_path, capsys, flag,
-                                                        value, knob):
+    def test_toy_lag_and_noise_reach_the_files(self, tmp_path):
         out = tmp_path / "d"
-        assert main(["synthdata", "--task", "acoustic_toy", "--out", str(out),
-                     flag, value]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == (f"error: {knob} must be 0 for acoustic_toy, which does "
-                                f"not read it, got {value}\n")
-        assert captured.out == ""
-        assert not out.exists()
+        assert main(["synthdata", "--task", "acoustic_toy", "--dim", "4",
+                     "--sequences", "2", "--len", "12", "--lag", "6",
+                     "--noise-std", "0.1", "--seed", "1", "--out", str(out)]) == 0
+        spec = trainer.SyntheticTaskSpec(kind="acoustic_toy", input_dim=4, lag=6,
+                                         noise_std=0.1, num_sequences=2, seq_len=12)
+        plain, _ = trainer.gen_acoustic_toy_task(
+            trainer.SyntheticTaskSpec(kind="acoustic_toy", input_dim=4,
+                                      num_sequences=2, seq_len=12), 1)
+        want, _ = trainer.gen_acoustic_toy_task(spec, 1)
+        for got, seq, base in zip(load_dataset(out / "train"), want, plain):
+            assert np.array_equal(got.inputs, seq.inputs)
+            for name, y in seq.targets.items():
+                assert np.array_equal(got.targets[name], y)
+                assert not np.array_equal(y, base.targets[name])
 
     def test_valid_sequences_flag_is_gone(self, tmp_path, capsys):
         assert main(["synthdata", "--out", str(tmp_path / "d"),
@@ -236,6 +250,20 @@ class TestTrainEval:
         epoch, lr, train_mse, valid_mse = lines[0].split("\t")
         assert epoch == "0" and float(lr) == 0.05
         float(train_mse), float(valid_mse)
+
+    def test_eval_model_with_invalid_embedded_config_exits_2_naming_the_file(
+            self, tmp_path, echo_data, capsys):
+        cfg = parse_config(json.dumps(ECHO_TRAIN_CONFIG))
+        model = tmp_path / "m.dfsmn"
+        save_model(build_network(cfg, 0), cfg, str(model))
+        blob = model.read_bytes()
+        assert blob.count(b'"hidden":16') == 1
+        model.write_bytes(blob.replace(b'"hidden":16', b'"hidden": 0'))
+        assert main(["eval", "--model", str(model), "--data",
+                     str(echo_data / "valid")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {model}: layers[0].hidden: must be >= 1, got 0\n"
+        assert captured.out == ""
 
     def test_no_optional_flag_gives_the_train_config_defaults(self, tmp_path, echo_data,
                                                                monkeypatch):

@@ -1123,14 +1123,14 @@ class TestMalformedFiles:
     @given(data=st.data())
     def test_mutated_file_loads_or_raises_typed_error(self, tmp_path, kind, data):
         # a feature file fails only with ModelFileError, so its every message
-        # names the file
+        # names the file; a model file's embedded config faults name it too
         path, load = small_file(tmp_path, kind)
         path.write_bytes(data.draw(mutated(path.read_bytes())))
         try:
             load(path)
         except LOADER_ERRORS as e:
             assert kind == "model" or isinstance(e, ModelFileError)
-            if isinstance(e, ModelFileError):
+            if isinstance(e, (ModelFileError, ConfigError)):
                 assert str(e).startswith(f"{path}: ") and str(e).count(str(path)) == 1
 
     @settings(max_examples=300, deadline=None,

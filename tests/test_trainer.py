@@ -1,10 +1,11 @@
+import hashlib
 import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dfsmn import analysis
+from dfsmn import analysis, metrics
 from dfsmn import layers as L
 from dfsmn import network as net
 from dfsmn import trainer
@@ -14,7 +15,7 @@ from dfsmn.network import (DfsmnLayerSpec, FcLayerSpec, NetworkConfig, StreamSpe
 from dfsmn.tensor import Counter64, ShapeError, derive_seed
 from dfsmn.trainer import (ECHO_STREAM, EpochStats, LrScheduler, SyntheticTaskSpec,
                            TrainConfig, evaluate_mse, gen_acoustic_toy_task,
-                           gen_echo_task, grad_check, multitask_mse, train)
+                           gen_echo_task, gen_task, grad_check, multitask_mse, train)
 
 
 def tiny_cfg(**kw):
@@ -379,6 +380,95 @@ class TestAcousticToyTask:
         t1, _ = gen_acoustic_toy_task(spec, seed=3)
         t2, _ = gen_acoustic_toy_task(spec, seed=3)
         assert np.array_equal(t1[0].targets["mcep"], t2[0].targets["mcep"])
+
+    def test_lag_shifts_targets_with_zero_head(self):
+        kw = dict(kind="acoustic_toy", input_dim=4, num_sequences=2, seq_len=12)
+        (plain, *_), _ = gen_acoustic_toy_task(SyntheticTaskSpec(**kw), seed=4)
+        (lagged, *_), _ = gen_acoustic_toy_task(SyntheticTaskSpec(lag=3, **kw), seed=4)
+        assert np.array_equal(lagged.inputs, plain.inputs)
+        for name, y in lagged.targets.items():
+            head = 0.5 if name == "uv" else 0.0  # the sigmoid of a zero map
+            assert np.all(y[:3] == head)
+            np.testing.assert_allclose(y[3:], plain.targets[name][:-3], rtol=1e-6,
+                                       atol=1e-7)
+
+    def test_noise_is_added_before_the_uv_squash(self):
+        kw = dict(kind="acoustic_toy", input_dim=4, num_sequences=4, seq_len=50)
+        clean, _ = gen_acoustic_toy_task(SyntheticTaskSpec(**kw), seed=5)
+        noisy, _ = gen_acoustic_toy_task(SyntheticTaskSpec(noise_std=0.5, **kw), seed=5)
+        for a, b in zip(clean, noisy):
+            assert np.array_equal(a.inputs, b.inputs)
+            for name in ("mcep", "lf0", "bap"):
+                resid = b.targets[name] - a.targets[name]
+                assert 0.3 < float(np.std(resid)) < 0.7
+            uv = b.targets["uv"].astype(np.float64)
+            assert np.all(uv > 0.0) and np.all(uv < 1.0)
+            # half the logit undoes the squash: the noise sits inside it
+            logit = 0.5 * (np.log(uv / (1 - uv)) - np.log(a.targets["uv"] /
+                                                          (1 - a.targets["uv"])))
+            assert 0.3 < float(np.std(logit)) < 0.7
+
+    @pytest.mark.slow
+    def test_reach_covering_the_lag_separates_on_mcd(self):
+        # criterion 5 on the lagged toy: one block reaching 6 frames back
+        # learns targets built from x[t - 6]; one reaching 5 cannot
+        spec = SyntheticTaskSpec(kind="acoustic_toy", input_dim=4, lag=6,
+                                 num_sequences=32, seq_len=64)
+        train_set, valid_set = gen_acoustic_toy_task(spec, seed=1)
+        streams = tuple(StreamSpec(name, dim, "sigmoid" if name == "uv" else "linear")
+                        for name, dim in sorted(trainer.TOY_DIMS.items()))
+        ref = trainer.stack_targets(valid_set, ["mcep"])["mcep"]
+        mcd = {}
+        for order in (6, 5):
+            cfg = NetworkConfig(input_dim=4, output_streams=streams, layers=(
+                DfsmnLayerSpec(hidden=32, proj=16, n_back=order),))
+            assert analysis.receptive_field(cfg) == (order, 0)
+            params, _ = train(cfg, build_network(cfg, seed=1), train_set,
+                              TrainConfig(lr=0.05, max_epochs=150, seed=1), valid_set)
+            mcd[order] = metrics.mcd(ref, trainer.predict(params, cfg, valid_set)["mcep"])
+        assert mcd[6] <= 2.0 and mcd[5] >= 8.0, mcd
+
+
+class TestGeneratorBytes:
+    # sha256 of every generated set below; a changed digest means changed
+    # synthetic data for every seed
+    CASES = {
+        "echo-d1-lag0": (dict(kind="echo"), 0),
+        "echo-d1-lag3-noise": (dict(kind="echo", lag=3, noise_std=0.1, seq_len=20),
+                               2**63 + 7),
+        "echo-d2-lag1-noise": (dict(kind="echo", input_dim=2, lag=1, noise_std=0.1,
+                                    num_sequences=5, seq_len=9), 3),
+        "echo-d5-lag3": (dict(kind="echo", input_dim=5, lag=3, num_sequences=3,
+                              seq_len=7), 2**63 + 7),
+        "echo-d2-lag0-noise": (dict(kind="echo", input_dim=2, noise_std=0.5,
+                                    num_sequences=4, seq_len=33), 1),
+        "toy": (dict(kind="acoustic_toy"), 0),
+        "toy-d8": (dict(kind="acoustic_toy", input_dim=8, num_sequences=5, seq_len=11),
+                   2**63 + 7),
+    }
+    DIGESTS = {
+        "echo-d1-lag0": "89ffb4375cdb71c0b2e2a38b87eddf4388ebf185d69469e3311aae7a6a930bb7",
+        "echo-d1-lag3-noise": "17afc7a831697e3920e1c242c86b569818d133c1bed815fb115c3807cbd33058",
+        "echo-d2-lag1-noise": "7f0ac319aef6c87721f02051c0bdc7d7e78941449e905d9626826e73f5beb0b5",
+        "echo-d5-lag3": "094408205566bfff82ec33b3ddb9e91167bfbcbafb52f1a32113288059fd8bd6",
+        "echo-d2-lag0-noise": "bec5ca150c62573d214f1d03abefd89332a3a8f903415f296b093a89c4e965f6",
+        "toy": "480ad72363d534fab98d0348611a6f82852e1bcc4be24c037e01922f43d265a0",
+        "toy-d8": "3ea3e90074c7c9877fafa5224e8ae2069c376eaa65fdb1d6091ae85c72000304",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sets_pinned(self, case):
+        kw, seed = self.CASES[case]
+        train_set, valid_set = gen_task(SyntheticTaskSpec(**kw), seed)
+        h = hashlib.sha256()
+        for seq in train_set + valid_set:
+            h.update(seq.seq_id.encode())
+            h.update(seq.inputs.tobytes())
+            for name in sorted(seq.targets):
+                h.update(name.encode())
+                h.update(repr(seq.targets[name].shape).encode())
+                h.update(seq.targets[name].tobytes())
+        assert h.hexdigest() == self.DIGESTS[case]
 
 
 class TestEchoNet:
