@@ -9,6 +9,7 @@ error. All randomness flows from --seed (default 0).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -66,8 +67,7 @@ def _write_records(path, records) -> None:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_config_arg(args)
-    report = trainer.grad_check(cfg, frames=args.frames, seed=args.seed,
-                                step=args.step, tolerance=args.tol)
+    report = trainer.grad_check(cfg, frames=args.frames, seed=args.seed)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -91,6 +91,11 @@ def cmd_train(args) -> int:
                              min_improvement=args.min_improvement,
                              patience=args.patience)
     cfg = _load_config_arg(args)
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):  # fail before reading data, not after training
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     train_set = load_dataset(os.path.join(args.data, "train"))
     valid_dir = os.path.join(args.data, "valid")
     valid_set = load_dataset(valid_dir) if os.path.isdir(valid_dir) else None
@@ -176,7 +181,7 @@ def cmd_eval(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The dfsmn command line; a flag for a TrainConfig or SyntheticTaskSpec
-    field, or a grad_check knob, takes its default from there."""
+    field takes its default from there."""
     train_cfg, task = trainer.TrainConfig, trainer.SyntheticTaskSpec
     parser = argparse.ArgumentParser(
         prog="dfsmn",
@@ -196,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="fp64 JSON config file")
     p.add_argument("--frames", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=trainer.GRADCHECK_STEP)
-    p.add_argument("--tol", type=float, default=trainer.GRADCHECK_TOL)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synthdata", help="generate a deterministic synthetic dataset")

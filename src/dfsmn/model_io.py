@@ -31,7 +31,6 @@ import math
 import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -156,14 +155,7 @@ class _FileReader:
             got[i] = _read_at(fd, arr.reshape(-1).view(np.uint8), offset)
 
         order = sorted(range(len(payloads)), key=lambda i: -payloads[i][1].nbytes)
-        threads = min(tensor._draw_workers(), len(order))
-        if threads <= 1:
-            for i in order:
-                read(i)
-        else:
-            with ThreadPoolExecutor(threads) as pool:
-                # list() reads every result, so a worker's exception is raised here
-                list(pool.map(read, order))
+        tensor._run_threads(read, order, min(tensor._draw_workers(), len(order)))
         for (offset, arr), n in zip(payloads, got):
             _check_read(n, arr.nbytes, offset)
             if sys.byteorder == "big":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -40,32 +40,88 @@ PRECISIONS = {"fp32": np.dtype(np.float32), "fp64": np.dtype(np.float64)}
 
 
 class ConfigError(ValueError):
-    """Malformed network configuration; message carries the offending location."""
+    """A setting that breaks its rule: a network config, layer or stream spec,
+    TrainConfig or SyntheticTaskSpec field, or a config document. The
+    message starts with where the fault is, such as "layers[1].n_back: "."""
+
+
+def _setting(test, description: str, default=MISSING):
+    """A settings dataclass field declaring its one rule, (test, description),
+    which check_fields applies; the constructors below make every rule."""
+    return field(default=default, metadata={"rule": (test, description)})
+
+
+def _integer(default=MISSING, minimum=None):
+    return _setting(lambda v: isinstance(v, int) and not isinstance(v, bool)
+                    and (minimum is None or v >= minimum),
+                    "an integer" + ("" if minimum is None else f" >= {minimum}"), default)
+
+
+def _number(default, minimum=None):
+    return _setting(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and (isinstance(v, int) or math.isfinite(v))
+                    and (minimum is None or v >= minimum),
+                    "a finite number" + ("" if minimum is None else f" >= {minimum}"),
+                    default)
+
+
+def _string(default=MISSING):
+    return _setting(lambda v: isinstance(v, str), "a string", default)
+
+
+def _boolean(default):
+    return _setting(lambda v: isinstance(v, bool), "true or false", default)
+
+
+def _one_of(choices: tuple, default):
+    return _setting(lambda v: isinstance(v, str) and v in choices,
+                    "one of " + ", ".join(map(repr, choices)), default)
+
+
+def _tuple_of(*types, default):
+    return _setting(lambda v: isinstance(v, tuple) and len(v) > 0
+                    and all(isinstance(x, types) for x in v),
+                    "a non-empty tuple of " + " or ".join(t.__name__ for t in types),
+                    default)
+
+
+def check_fields(obj, where: str = "") -> None:
+    """Apply the rule each field of the dataclass obj declares, in field
+    order: the first value that breaks its rule raises ConfigError
+    "<where><field>: must be <description>, got <value!r>". A field that
+    declares no rule is a TypeError on the first object checked."""
+    for f in fields(obj):
+        if "rule" not in f.metadata:
+            raise TypeError(f"{type(obj).__name__}.{f.name} declares no rule")
+        test, description = f.metadata["rule"]
+        value = getattr(obj, f.name)
+        if not test(value):
+            raise ConfigError(f"{where}{f.name}: must be {description}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class DfsmnLayerSpec:
-    hidden: int = DEFAULT_HIDDEN
-    proj: int = DEFAULT_PROJ
-    n_back: int = 0
-    n_ahead: int = 0
-    stride_back: int = 1
-    stride_ahead: int = 1
-    skip: bool = False
-    activation: str = DEFAULT_ACTIVATION
+    hidden: int = _integer(DEFAULT_HIDDEN, minimum=1)
+    proj: int = _integer(DEFAULT_PROJ, minimum=1)
+    n_back: int = _integer(0, minimum=0)
+    n_ahead: int = _integer(0, minimum=0)
+    stride_back: int = _integer(1, minimum=1)
+    stride_ahead: int = _integer(1, minimum=1)
+    skip: bool = _boolean(False)
+    activation: str = _one_of(L.ACTIVATIONS, DEFAULT_ACTIVATION)
 
 
 @dataclass(frozen=True)
 class FcLayerSpec:
-    hidden: int = DEFAULT_HIDDEN
-    activation: str = DEFAULT_ACTIVATION
+    hidden: int = _integer(DEFAULT_HIDDEN, minimum=1)
+    activation: str = _one_of(L.ACTIVATIONS, DEFAULT_ACTIVATION)
 
 
 @dataclass(frozen=True)
 class StreamSpec:
-    name: str
-    dim: int
-    activation: str = "linear"
+    name: str = _string()
+    dim: int = _integer(minimum=1)
+    activation: str = _one_of(L.ACTIVATIONS, "linear")
 
 
 LayerSpec = Union[DfsmnLayerSpec, FcLayerSpec]
@@ -80,10 +136,10 @@ DEFAULT_STREAMS = (
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    input_dim: int = DEFAULT_INPUT_DIM
-    layers: tuple = ()
-    output_streams: tuple = DEFAULT_STREAMS
-    precision: str = DEFAULT_PRECISION
+    input_dim: int = _integer(DEFAULT_INPUT_DIM, minimum=1)
+    layers: tuple = _tuple_of(DfsmnLayerSpec, FcLayerSpec, default=())
+    output_streams: tuple = _tuple_of(StreamSpec, default=DEFAULT_STREAMS)
+    precision: str = _one_of(tuple(PRECISIONS), DEFAULT_PRECISION)
 
     def __post_init__(self):
         validate_config(self)
@@ -92,70 +148,26 @@ class NetworkConfig:
         return PRECISIONS[self.precision]
 
 
-def _check_int(value, loc: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{loc}: must be an integer, got {value!r}")
-    return value
-
-
-def _check_dim(value, loc: str) -> None:
-    if _check_int(value, loc) < 1:
-        raise ConfigError(f"{loc}: must be >= 1, got {value}")
-
-
 def validate_config(cfg: NetworkConfig) -> None:
-    if not cfg.layers:
-        raise ConfigError("layers: need at least one layer")
-    _check_dim(cfg.input_dim, "input_dim")
-    if not cfg.output_streams:
-        raise ConfigError("output_streams: need at least one stream")
-    if not isinstance(cfg.precision, str) or cfg.precision not in PRECISIONS:
-        raise ConfigError(f"precision: expected {' or '.join(map(repr, PRECISIONS))}, "
-                          f"got {cfg.precision!r}")
+    """check_fields on cfg and on each of its layer and stream specs, which
+    it names, then the rules that read more than one field."""
+    check_fields(cfg)
+    for li, spec in enumerate(cfg.layers):
+        check_fields(spec, f"layers[{li}].")
+        if isinstance(spec, DfsmnLayerSpec) and spec.skip and (
+                li == 0 or not isinstance(cfg.layers[li - 1], DfsmnLayerSpec)):
+            raise ConfigError(
+                f"layers[{li}]: skip needs an immediately preceding memory-block layer")
     for si, s in enumerate(cfg.output_streams):
-        loc = f"output_streams[{si}]"
-        if not isinstance(s.name, str):
-            raise ConfigError(f"{loc}.name: must be a string, got {s.name!r}")
-        _check_dim(s.dim, f"{loc}.dim")
-        if s.activation not in L.ACTIVATIONS:
-            raise ConfigError(f"{loc}.activation: unknown {s.activation!r}")
+        check_fields(s, f"output_streams[{si}].")
     names = [s.name for s in cfg.output_streams]
     if len(set(names)) != len(names):
         raise ConfigError(f"output_streams: duplicate names in {names}")
-    proj_dims = set()
-    any_skip = False
-    for li, spec in enumerate(cfg.layers):
-        loc = f"layers[{li}]"
-        if isinstance(spec, DfsmnLayerSpec):
-            _check_dim(spec.hidden, f"{loc}.hidden")
-            _check_dim(spec.proj, f"{loc}.proj")
-            for name in ("n_back", "n_ahead", "stride_back", "stride_ahead"):
-                _check_int(getattr(spec, name), f"{loc}.{name}")
-            if not isinstance(spec.skip, bool):
-                raise ConfigError(f"{loc}.skip: must be true or false, got {spec.skip!r}")
-            if spec.n_back < 0 or spec.n_ahead < 0:
-                raise ConfigError(
-                    f"{loc}: orders must be >= 0, got {spec.n_back},{spec.n_ahead}")
-            if spec.stride_back < 1 or spec.stride_ahead < 1:
-                raise ConfigError(f"{loc}: strides must be >= 1, "
-                                  f"got {spec.stride_back},{spec.stride_ahead}")
-            if spec.activation not in L.ACTIVATIONS:
-                raise ConfigError(f"{loc}.activation: unknown {spec.activation!r}")
-            if spec.skip:
-                any_skip = True
-                if li == 0 or not isinstance(cfg.layers[li - 1], DfsmnLayerSpec):
-                    raise ConfigError(
-                        f"{loc}: skip needs an immediately preceding memory-block layer")
-            proj_dims.add(spec.proj)
-        elif isinstance(spec, FcLayerSpec):
-            _check_dim(spec.hidden, f"{loc}.hidden")
-            if spec.activation not in L.ACTIVATIONS:
-                raise ConfigError(f"{loc}.activation: unknown {spec.activation!r}")
-        else:
-            raise ConfigError(f"{loc}: unknown layer spec type {type(spec).__name__}")
-    if any_skip and len(proj_dims) > 1:
+    blocks = [s for s in cfg.layers if isinstance(s, DfsmnLayerSpec)]
+    proj_dims = sorted({s.proj for s in blocks})
+    if any(s.skip for s in blocks) and len(proj_dims) > 1:
         raise ConfigError(
-            f"skip connections need one shared projection width, got {sorted(proj_dims)}")
+            f"skip connections need one shared projection width, got {proj_dims}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +272,8 @@ def parse_config(text: str) -> NetworkConfig:
     if isinstance(doc["layers"], str):
         if not isinstance(doc.get("order"), str):
             raise ConfigError("config: shorthand 'layers' needs an 'order' string")
-        try:
-            return expand_shorthand(doc["layers"], doc["order"], **common,
-                                    **_given(doc, "hidden", "proj", "activation"))
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as e:
-            raise ConfigError(str(e))
+        return expand_shorthand(doc["layers"], doc["order"], **common,
+                                **_given(doc, "hidden", "proj", "activation"))
 
     if not isinstance(doc["layers"], list):
         raise ConfigError("layers: must be a list or 'Nc+Nd' string")
@@ -284,12 +291,7 @@ def parse_config(text: str) -> NetworkConfig:
         cls = _LAYER_TYPES[kind]
         _reject_unknown(entry, {"type"} | _field_names(cls), loc)
         specs.append(cls(**{k: v for k, v in entry.items() if k != "type"}))
-    try:
-        return NetworkConfig(layers=tuple(specs), **common)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e))
+    return NetworkConfig(layers=tuple(specs), **common)
 
 
 def _parse_streams(entries) -> tuple:

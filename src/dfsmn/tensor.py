@@ -147,6 +147,19 @@ def _draw_workers() -> int:
         return os.cpu_count() or 1
 
 
+def _run_threads(fn, items, threads: int) -> None:
+    """fn(item) for each of items: in order on the calling thread when
+    threads <= 1, else on a pool of that many threads, all ended before
+    this returns."""
+    if threads <= 1:
+        for item in items:
+            fn(item)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            # list() reads every result, so a worker's exception is raised here
+            list(pool.map(fn, items))
+
+
 class _NormalPieces:
     """Draws pieces of a seed's normal stream into buffers made by the
     constructor.
@@ -227,10 +240,5 @@ def seeded_normal(seed: int, rows: int, cols: int, stddev: float = 1.0,
         for start in starts[w::threads]:
             drawers[w].fill(seed, start, flat[start:start + piece], stddev)
 
-    if threads == 1:
-        fill(0)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            # list() reads every result, so a worker's exception is raised here
-            list(pool.map(fill, range(threads)))
+    _run_threads(fill, range(threads), threads)
     return out

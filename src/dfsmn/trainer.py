@@ -25,8 +25,9 @@ import numpy as np
 from . import network as net
 from .features import SequenceData
 from .layers import dfsmn_layer_forward, layer_backward
-from .network import (DfsmnLayerSpec, NetworkConfig, NetworkParams, StreamSpec,
-                      build_network)
+from .network import (ConfigError, DfsmnLayerSpec, NetworkConfig, NetworkParams,
+                      StreamSpec, _integer, _number, _one_of, build_network,
+                      check_fields)
 from .tensor import Counter64, ShapeError, derive_seed, seeded_normal
 
 ECHO_STREAM = "echo"
@@ -46,25 +47,15 @@ class TrainConfig:
     with the 1e-2 initial rate that suits the synthetic desk-scale tasks (a
     full-scale recipe starts at 5e-7)."""
 
-    batch_frames: int = 512
-    lr: float = 1e-2
-    patience: int = 1
-    min_improvement: float = 0.005
-    max_epochs: int = 10
-    seed: int = 0
+    batch_frames: int = _integer(512, minimum=1)
+    lr: float = _number(1e-2, minimum=0)  # 0 is a no-op run, a determinism probe
+    patience: int = _integer(1, minimum=1)
+    min_improvement: float = _number(0.005)
+    max_epochs: int = _integer(10, minimum=1)
+    seed: int = _integer(0)
 
     def __post_init__(self):
-        # lr == 0 is tolerated: a no-op run is a useful determinism probe
-        if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.batch_frames < 1:
-            raise ValueError(f"batch_frames must be >= 1, got {self.batch_frames}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not math.isfinite(self.min_improvement):
-            raise ValueError(f"min_improvement must be finite, got {self.min_improvement}")
+        check_fields(self)
 
 
 def multitask_mse(pred_streams: dict, target_streams: dict) -> float:
@@ -156,22 +147,20 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-12)
 
 
-def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = GRADCHECK_STEP,
-               tolerance: float = GRADCHECK_TOL) -> GradCheckReport:
+def grad_check(cfg: NetworkConfig, frames: int, seed: int) -> GradCheckReport:
     """Central finite differences against the analytic backward pass.
 
     Requires an fp64 config. Memory taps are re-drawn from a small normal
     before checking (fresh networks zero them, which would leave tap paths
     untested). Checks GRADCHECK_SAMPLES random scalars per parameter class, of
-    the network input, and of the first skip-connected layer's skip input.
+    the network input, and of the first skip-connected layer's skip input,
+    each by a GRADCHECK_STEP central difference; it passes when every
+    relative error is below GRADCHECK_TOL.
     """
     if cfg.precision != "fp64":
         raise ValueError("gradient check needs an fp64 network config")
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    for knob, value in (("step", step), ("tolerance", tolerance)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{knob} must be finite and > 0, got {value}")
     params = build_network(cfg, seed)
     for li, (spec, p) in enumerate(zip(cfg.layers, params.layers)):
         if isinstance(spec, DfsmnLayerSpec):
@@ -197,7 +186,7 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = GRADCHE
                                               net.iter_tensors(cfg, grads)):
         by_class.setdefault(cls, []).append((p_arr, g_arr))
 
-    report = GradCheckReport(tolerance=tolerance, step=step)
+    report = GradCheckReport(tolerance=GRADCHECK_TOL, step=GRADCHECK_STEP)
     rng = Counter64(derive_seed(seed, 7300))
     for cls, pairs in by_class.items():
         starts = list(accumulate((arr.size for arr, _ in pairs), initial=0))
@@ -211,7 +200,7 @@ def grad_check(cfg: NetworkConfig, frames: int, seed: int, step: float = GRADCHE
 
     report.worst_class, report.worst_err = max(
         report.max_rel_err.items(), key=lambda kv: kv[1])
-    report.passed = report.worst_err < tolerance
+    report.passed = report.worst_err < report.tolerance
     return report
 
 
@@ -274,23 +263,17 @@ class SyntheticTaskSpec:
     can drive the training loss to ~0. The validation set holds
     max(1, num_sequences // 4) sequences of the same kind."""
 
-    kind: str = "echo"
-    input_dim: int = 1
-    lag: int = 0
-    noise_std: float = 0.0
-    num_sequences: int = 16
-    seq_len: int = 64
+    kind: str = _one_of(TASK_KINDS, "echo")
+    input_dim: int = _integer(1, minimum=1)
+    lag: int = _integer(0, minimum=0)
+    noise_std: float = _number(0.0, minimum=0)
+    num_sequences: int = _integer(16, minimum=1)
+    seq_len: int = _integer(64, minimum=1)
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ValueError(f"unknown task kind {self.kind!r}")
-        for knob in ("num_sequences", "seq_len", "input_dim"):
-            if getattr(self, knob) < 1:
-                raise ValueError(f"{knob} must be >= 1, got {getattr(self, knob)}")
-        if not (0 <= self.lag < self.seq_len):
-            raise ValueError(f"lag must satisfy 0 <= lag < seq_len, got {self.lag}")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        check_fields(self)
+        if self.lag >= self.seq_len:
+            raise ConfigError(f"lag: must be < seq_len {self.seq_len}, got {self.lag}")
 
 
 def _sequence(spec: SyntheticTaskSpec, maps: dict, seq_seed: int,

@@ -40,12 +40,13 @@ class TestCriterion1GradientCorrectness:
                                             StreamSpec("v", 1, "sigmoid")),
                             precision="fp64")
         start = time.monotonic()
-        rep = grad_check(cfg, frames=20, seed=3, step=1e-5, tolerance=1e-4)
+        rep = grad_check(cfg, frames=20, seed=3)
         elapsed = time.monotonic() - start
         classes = {"proj_weight", "proj_bias", "back_taps", "ahead_taps",
                    "out_weight", "out_bias", "head_weight", "head_bias",
                    "input", "skip"}
-        ok = (rep.passed and classes <= set(rep.max_rel_err) and elapsed < 60.0)
+        ok = (rep.passed and (rep.step, rep.tolerance) == (1e-5, 1e-4)
+              and classes <= set(rep.max_rel_err) and elapsed < 60.0)
         report(1, ok, f"4-layer bidirectional skip gradcheck worst "
                       f"{rep.worst_class}={rep.worst_err:.2e} (<1e-4), "
                       f"{len(rep.max_rel_err)} classes, {elapsed:.1f}s (<60s)")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shlex
@@ -85,12 +86,13 @@ class TestAnalyze:
             dict(ECHO_TRAIN_CONFIG["layers"][0], hidden=0)])))
         assert main([command, "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {cfg}: layers[0].hidden: must be >= 1, got 0\n"
+        assert captured.err == (f"error: {cfg}: layers[0].hidden: must be an integer >= 1, "
+                                "got 0\n")
         assert captured.out == ""
 
 
 class TestGradcheck:
-    def test_pass_and_fail_exit_codes(self, tmp_path, capsys):
+    def test_pass_and_fail_exit_codes(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(FP64_TANH_CONFIG))
         assert main(["gradcheck", "--config", str(cfg), "--frames", "10",
@@ -98,8 +100,9 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "back_taps" in out
         # fd truncation error cannot meet 1e-12 on a nonlinear net
+        monkeypatch.setattr(trainer, "GRADCHECK_TOL", 1e-12)
         assert main(["gradcheck", "--config", str(cfg), "--frames", "10",
-                     "--seed", "1", "--tol", "1e-12"]) == 1
+                     "--seed", "1"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_missing_config_exits_2(self):
@@ -119,13 +122,16 @@ class TestGradcheck:
                                                  ("--tol", "0", "tolerance"),
                                                  ("--tol", "inf", "tolerance")])
     def test_bad_knob_exits_2(self, tmp_path, capsys, flag, value, knob):
+        """The step and tolerance are constants: neither flag nor grad_check
+        parameter exists, so no value of either can loosen the check."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(FP64_TANH_CONFIG))
         assert main(["gradcheck", "--config", str(cfg), "--frames", "4",
                      f"{flag}={value}"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {knob} must be finite and > 0")
+        assert f"unrecognized arguments: {flag}={value}" in captured.err
         assert captured.out == ""
+        assert knob not in inspect.signature(trainer.grad_check).parameters
 
     @pytest.mark.parametrize("frames", ["0", "-2"])
     def test_bad_frames_exits_2(self, tmp_path, capsys, frames):
@@ -169,7 +175,7 @@ class TestSynthdata:
         out = tmp_path / "d"
         assert main(["synthdata", "--sequences", "4", "--len", "8", "--out", str(out),
                      f"{flag}={value}"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {knob} must be")
+        assert capsys.readouterr().err.startswith(f"error: {knob}: must be")
         assert not out.exists()
 
     def test_no_optional_flag_gives_the_spec_defaults(self, tmp_path, monkeypatch):
@@ -262,7 +268,8 @@ class TestTrainEval:
         assert main(["eval", "--model", str(model), "--data",
                      str(echo_data / "valid")]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {model}: layers[0].hidden: must be >= 1, got 0\n"
+        assert captured.err == (f"error: {model}: layers[0].hidden: must be an integer >= 1, "
+                                "got 0\n")
         assert captured.out == ""
 
     def test_no_optional_flag_gives_the_train_config_defaults(self, tmp_path, echo_data,
@@ -304,6 +311,21 @@ class TestTrainEval:
                      "--out", str(tmp_path / "m.dfsmn")]) == 2
         assert "layers[0].hidden" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out,named,reason", [
+        ("nowhere/m", "nowhere", "No such file or directory"),
+        ("a_dir", "a_dir", "Is a directory")])
+    def test_train_unwritable_out_exits_2_before_reading_data(
+            self, tmp_path, echo_data, capsys, monkeypatch, out, named, reason):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("read data or trained before checking --out")
+        monkeypatch.setattr(cli, "load_dataset", unreachable)
+        monkeypatch.setattr(trainer, "train", unreachable)
+        (tmp_path / "a_dir").mkdir()
+        assert main(["train", "--config", str(self._write_cfg(tmp_path)),
+                     "--data", str(echo_data), "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.endswith(f"] {reason}: '{tmp_path / named}'\n")
+        assert not (tmp_path / "nowhere").exists()
+
     @pytest.mark.parametrize("flag,value,knob", [("--epochs", "0", "max_epochs"),
                                                  ("--lr", "nan", "lr"),
                                                  ("--patience", "0", "patience"),
@@ -318,7 +340,7 @@ class TestTrainEval:
         model = tmp_path / "m.dfsmn"
         assert main(["train", "--config", str(self._write_cfg(tmp_path)),
                      "--data", str(echo_data), "--out", str(model), flag, value]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {knob} must be")
+        assert capsys.readouterr().err.startswith(f"error: {knob}: must be")
         assert not model.exists()
         assert not (tmp_path / "m.dfsmn.history").exists()
 

@@ -6,7 +6,7 @@ import struct
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,10 +24,11 @@ from dfsmn.model_io import (MAGIC, VERSION, BadMagicError, ModelFileError,
                             TruncatedFileError, VersionMismatchError, load_model,
                             save_model)
 from dfsmn.network import (ConfigError, DfsmnLayerSpec, FcLayerSpec, NetworkConfig,
-                           StreamSpec, build_network, config_to_json, count_params,
-                           expand_shorthand, iter_tensors, parse_config,
+                           StreamSpec, build_network, check_fields, config_to_json,
+                           count_params, expand_shorthand, iter_tensors, parse_config,
                            preset_config, zeros_network)
 from dfsmn.tensor import NORMAL_CHUNK, Counter64, ShapeError, derive_seed
+from dfsmn.trainer import SyntheticTaskSpec, TrainConfig
 
 
 def tiny_cfg(n_dfsmn=2, n_fc=1, n_back=1, n_ahead=1, s1=1, s2=1, skip=True,
@@ -89,8 +90,9 @@ BAD_DOCS = [
     (two_block_doc(second={"hidden": True}), r"layers\[1\]\.hidden"),
     (two_block_doc(second={"hidden": 2.5}), r"layers\[1\]\.hidden"),
     (two_block_doc(second={"n_ahead": None}), r"layers\[1\]\.n_ahead"),
-    (two_block_doc(second={"n_back": -1}), r"layers\[1\]: orders"),
-    (two_block_doc(second={"stride_ahead": 0}), r"layers\[1\]: strides"),
+    (two_block_doc(second={"n_back": -1}), r"layers\[1\]\.n_back: must be an integer >= 0"),
+    (two_block_doc(second={"stride_ahead": 0}),
+     r"layers\[1\]\.stride_ahead: must be an integer >= 1"),
     (two_block_doc(stream={"name": 7}), r"output_streams\[0\]\.name"),
     (two_block_doc(stream={"dim": "2"}), r"output_streams\[0\]\.dim"),
     ({"layers": "2+1", "order": "1,1,1,1", "hidden": 2.5}, r"layers\[0\]\.hidden"),
@@ -99,6 +101,10 @@ BAD_DOCS = [
     (dict(two_block_doc(), precision="fp16"), r"^precision: "),
     ({"preset": "A", "precision": {}}, r"^precision: "),
     ({"preset": []}, r"unknown preset"),
+    (two_block_doc(second={"activation": "gelu"}),
+     r"layers\[1\]\.activation: must be one of"),
+    (dict(two_block_doc(), input_dim=3.0),
+     r"^input_dim: must be an integer >= 1, got 3\.0$"),
 ]
 
 
@@ -252,6 +258,83 @@ class TestParseConfig:
     def test_roundtrip_through_canonical_json(self):
         cfg = tiny_cfg()
         assert parse_config(config_to_json(cfg)) == cfg
+
+
+SETTINGS = (DfsmnLayerSpec, FcLayerSpec, StreamSpec, NetworkConfig, TrainConfig,
+            SyntheticTaskSpec)
+
+# per settings field: (a value of the wrong type, a value of the right type
+# out of range, or None where every value of the type is in range)
+FIELD_CASES = {
+    "DfsmnLayerSpec.hidden": (2.5, 0), "DfsmnLayerSpec.proj": ("2", 0),
+    "DfsmnLayerSpec.n_back": (None, -1), "DfsmnLayerSpec.n_ahead": (1.0, -1),
+    "DfsmnLayerSpec.stride_back": (True, 0), "DfsmnLayerSpec.stride_ahead": ([], 0),
+    "DfsmnLayerSpec.skip": ("no", None), "DfsmnLayerSpec.activation": (7, "gelu"),
+    "FcLayerSpec.hidden": (False, -3), "FcLayerSpec.activation": (None, "Relu"),
+    "StreamSpec.name": (7, None), "StreamSpec.dim": ("2", 0),
+    "StreamSpec.activation": (["linear"], "softmax"),
+    "NetworkConfig.input_dim": (3.0, 0),
+    "NetworkConfig.layers": ([DfsmnLayerSpec(4, 2)], ()),
+    "NetworkConfig.output_streams": ((("y", 1),), ()),
+    "NetworkConfig.precision": (32, "fp16"),
+    "TrainConfig.batch_frames": (512.0, 0), "TrainConfig.lr": ("0.01", float("nan")),
+    "TrainConfig.patience": (None, 0), "TrainConfig.min_improvement": ("0", float("inf")),
+    "TrainConfig.max_epochs": (2.5, 0), "TrainConfig.seed": (1.5, None),
+    "SyntheticTaskSpec.kind": (0, "speech"), "SyntheticTaskSpec.input_dim": (1.0, 0),
+    "SyntheticTaskSpec.lag": (0.5, -1), "SyntheticTaskSpec.noise_std": (True, -0.1),
+    "SyntheticTaskSpec.num_sequences": (True, 0), "SyntheticTaskSpec.seq_len": (64.5, 0),
+}
+
+
+def field_loc(cls, name):
+    """Where a ConfigError names field name of cls; build_with puts a layer
+    or stream spec into tiny_cfg (blocks 0 and 1, the second with skip, fc 2)."""
+    return {DfsmnLayerSpec: "layers[1].", FcLayerSpec: "layers[2].",
+            StreamSpec: "output_streams[0]."}.get(cls, "") + name
+
+
+def build_with(cls, name, value):
+    """Build cls with field name set to value; a layer or stream spec is
+    built into tiny_cfg's network config at field_loc's place."""
+    cfg = tiny_cfg()
+    if cls in (TrainConfig, SyntheticTaskSpec):
+        cls(**{name: value})
+    elif cls is NetworkConfig:
+        replace(cfg, **{name: value})
+    elif cls is StreamSpec:
+        replace(cfg, output_streams=(replace(cfg.output_streams[0], **{name: value}),))
+    else:
+        li = 1 if cls is DfsmnLayerSpec else 2
+        layers = list(cfg.layers)
+        layers[li] = replace(layers[li], **{name: value})
+        replace(cfg, layers=tuple(layers))
+
+
+class TestFieldRules:
+    @pytest.mark.parametrize("cls,name", [(cls, f.name) for cls in SETTINGS
+                                          for f in fields(cls)],
+                             ids=lambda x: getattr(x, "__name__", x))
+    def test_bad_value_names_field(self, cls, name):
+        wrong_type, out_of_range = FIELD_CASES[f"{cls.__name__}.{name}"]
+        cases = [wrong_type] if out_of_range is None else [wrong_type, out_of_range]
+        for value in cases:
+            with pytest.raises(ConfigError) as caught:
+                build_with(cls, name, value)
+            message = str(caught.value)
+            assert message.startswith(f"{field_loc(cls, name)}: must be "), message
+            assert message.endswith(f", got {value!r}"), message
+
+    def test_every_case_is_a_field(self):
+        assert set(FIELD_CASES) == {f"{cls.__name__}.{f.name}" for cls in SETTINGS
+                                    for f in fields(cls)}
+
+    def test_a_field_without_a_rule_fails_its_first_check(self):
+        @dataclass
+        class Unruled:
+            width: int = 1
+
+        with pytest.raises(TypeError, match=r"Unruled\.width declares no rule"):
+            check_fields(Unruled())
 
 
 # pinned: count_params reads the same layout table that zeros_network allocates
