@@ -184,17 +184,13 @@ def expand_shorthand(layer_counts: str, orders: str, input_dim: int = DEFAULT_IN
     blocks, so every block after the first has skip on), then Nd plain layers.
     """
     try:
-        nc_s, nd_s = layer_counts.split("+")
-        nc, nd = int(nc_s), int(nd_s)
+        nc, nd = map(int, layer_counts.split("+"))
     except ValueError:
         raise ConfigError(f"layers: expected 'Nc+Nd', got {layer_counts!r}")
-    parts = orders.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"order: expected 'N1,N2,s1,s2', got {orders!r}")
     try:
-        n1, n2, s1, s2 = (int(p) for p in parts)
+        n1, n2, s1, s2 = map(int, orders.split(","))
     except ValueError:
-        raise ConfigError(f"order: non-integer entry in {orders!r}")
+        raise ConfigError(f"order: expected 'N1,N2,s1,s2', got {orders!r}")
     if nc < 1:
         raise ConfigError(f"layers: need at least one memory-block layer, got {nc}")
     if nd < 0:
@@ -245,10 +241,22 @@ def _given(doc: dict, *keys) -> dict:
     return {k: doc[k] for k in keys if k in doc}
 
 
+def _spec_from(cls, entry, loc: str, extras=()):
+    """cls built from the document object entry at loc, whose keys are cls's
+    fields and extras (dropped); a field without a default must be given."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{loc}: expected an object")
+    _reject_unknown(entry, {f.name for f in fields(cls)} | set(extras), loc)
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in entry]
+    if missing:
+        raise ConfigError(f"{loc}: needs " + " and ".join(map(repr, missing)))
+    return cls(**{k: v for k, v in entry.items() if k not in extras})
+
+
 def parse_config(text: str) -> NetworkConfig:
     """Parse a JSON config document (full layer list, shorthand, or preset).
     A key the document leaves out takes the default of the NetworkConfig or
-    layer-spec field, or expand_shorthand parameter, it sets."""
+    spec field, or expand_shorthand parameter, it sets."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -266,8 +274,12 @@ def parse_config(text: str) -> NetworkConfig:
     if "layers" not in doc:
         raise ConfigError("config: missing 'layers'")
     common = _given(doc, "input_dim", "precision")
-    if doc.get("output_streams") is not None:
-        common["output_streams"] = _parse_streams(doc["output_streams"])
+    streams = doc.get("output_streams")
+    if streams is not None:
+        if not isinstance(streams, list) or not streams:
+            raise ConfigError("output_streams: must be a non-empty list")
+        common["output_streams"] = tuple(_spec_from(StreamSpec, s, f"output_streams[{si}]")
+                                         for si, s in enumerate(streams))
 
     if isinstance(doc["layers"], str):
         if not isinstance(doc.get("order"), str):
@@ -288,29 +300,8 @@ def parse_config(text: str) -> NetworkConfig:
         kind = entry["type"]
         if not isinstance(kind, str) or kind not in _LAYER_TYPES:
             raise ConfigError(f"{loc}.type: unknown {kind!r}")
-        cls = _LAYER_TYPES[kind]
-        _reject_unknown(entry, {"type"} | _field_names(cls), loc)
-        specs.append(cls(**{k: v for k, v in entry.items() if k != "type"}))
+        specs.append(_spec_from(_LAYER_TYPES[kind], entry, loc, extras=("type",)))
     return NetworkConfig(layers=tuple(specs), **common)
-
-
-def _parse_streams(entries) -> tuple:
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("output_streams: must be a non-empty list")
-    out = []
-    for si, entry in enumerate(entries):
-        loc = f"output_streams[{si}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{loc}: expected an object")
-        _reject_unknown(entry, _field_names(StreamSpec), loc)
-        if "name" not in entry or "dim" not in entry:
-            raise ConfigError(f"{loc}: needs 'name' and 'dim'")
-        out.append(StreamSpec(**entry))
-    return tuple(out)
-
-
-def _field_names(cls) -> set:
-    return {f.name for f in fields(cls)}
 
 
 def config_to_dict(cfg: NetworkConfig) -> dict:

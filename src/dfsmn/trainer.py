@@ -397,7 +397,9 @@ def predict(params, cfg, dataset) -> dict:
 
 
 def evaluate_mse(params, cfg, dataset) -> float:
-    """Frame-weighted multi-task MSE over a dataset."""
+    """Frame-weighted multi-task MSE over a dataset, which check_dataset
+    checks first."""
+    check_dataset(cfg, dataset)
     pred = predict(params, cfg, dataset)
     return multitask_mse(pred, stack_targets(dataset, pred, cfg.dtype()))
 
@@ -408,18 +410,10 @@ def _bounds(batch) -> list:
     return list(zip([0] + ends[:-1], ends))
 
 
-def _stream(seq: SequenceData, name: str) -> np.ndarray:
-    try:
-        return seq.targets[name]
-    except KeyError:
-        raise ShapeError(f"sequence {seq.seq_id}: missing stream {name!r}") from None
-
-
 def stack_targets(dataset, names, dtype=None) -> dict:
     """Each named target stream stacked over dataset in its order, cast to
-    dtype if one is given. A sequence that lacks a stream raises ShapeError
-    naming both."""
-    return {name: np.concatenate([_stream(seq, name) for seq in dataset], dtype=dtype)
+    dtype if one is given; check_streams has held dataset to its rule."""
+    return {name: np.concatenate([seq.targets[name] for seq in dataset], dtype=dtype)
             for name in names}
 
 
@@ -470,6 +464,7 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
             total_frames = len(inputs)
             outs, cache = net.forward(params, cfg, inputs, bounds=bounds)
             batch_loss = 0.0
+            # one loss per sequence: train_mse is the same however the shuffle batches
             for seq, (a, b) in zip(batch, bounds):
                 loss = multitask_mse({n: o[a:b] for n, o in outs.items()},
                                      {n: t[a:b] for n, t in targets.items()})

@@ -605,6 +605,40 @@ class TestTrainEval:
                                 f"a non-negative integer\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("mode", ["train", "eval-model"])
+    @pytest.mark.parametrize("fault", ["no-manifest", "bad-line", "no-input"])
+    def test_dataset_directory_fault_exits_2(self, tmp_path, echo_data, capsys, mode,
+                                             fault):
+        argv, faulty, _ = _echo_run(tmp_path, echo_data, mode)
+        manifest = faulty / "manifest.txt"
+        seq_id = manifest.read_text().splitlines()[0].split("\t")[0]
+        if fault == "no-manifest":
+            manifest.unlink()
+            message = f"no manifest.txt in {faulty}"
+        elif fault == "bad-line":
+            manifest.write_text(f"{seq_id} 16\n")
+            message = f"{manifest}:1: expected 'id<TAB>frames'"
+        else:
+            (faulty / f"{seq_id}.input.feat").unlink()
+            message = f"{faulty}: sequence {seq_id} has no input file"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out.dfsmn").exists()
+
+    def test_blank_manifest_lines_are_skipped(self, echo_data):
+        manifest = echo_data / "train" / "manifest.txt"
+        want = load_dataset(echo_data / "train")
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:1] + ["", ""] + lines[1:]) + "\n\n")
+        got = load_dataset(echo_data / "train")
+        assert [seq.seq_id for seq in got] == [seq.seq_id for seq in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.inputs, b.inputs)
+            assert a.targets.keys() == b.targets.keys()
+            assert all(np.array_equal(a.targets[k], b.targets[k]) for k in a.targets)
+
     def test_train_empty_valid_exits_2(self, tmp_path, echo_data, capsys):
         (echo_data / "valid" / "manifest.txt").write_text("")
         model = tmp_path / "m.dfsmn"
@@ -708,7 +742,8 @@ class TestStreamRule:
         assert captured.out == ""
 
     @pytest.mark.parametrize("mode", RUN_MODES)
-    @pytest.mark.parametrize("stream", ["input", "echo"])
+    # "in", not "input": each "module.Class::test[id]" stays distinct in 100 characters
+    @pytest.mark.parametrize("stream", ["input", "echo"], ids=["in", "echo"])
     def test_non_finite_feature_value_exits_2_naming_the_file(self, tmp_path, echo_data,
                                                               capsys, mode, stream):
         argv, faulty, _ = _echo_run(tmp_path, echo_data, mode)

@@ -105,6 +105,20 @@ BAD_DOCS = [
      r"layers\[1\]\.activation: must be one of"),
     (dict(two_block_doc(), input_dim=3.0),
      r"^input_dim: must be an integer >= 1, got 3\.0$"),
+    (dict(two_block_doc(), output_streams=[{"name": "y", "dim": 1}] * 2),
+     r"^output_streams: duplicate names in \['y', 'y'\]$"),
+    ({"layers": "2-1", "order": "1,1,1,1"}, r"^layers: expected 'Nc\+Nd', got '2-1'$"),
+    ({"layers": "2+1", "order": "1,x,1,1"},
+     r"^order: expected 'N1,N2,s1,s2', got '1,x,1,1'$"),
+    ({"layers": "3+-1", "order": "1,1,1,1"},
+     r"^layers: fc layer count must be >= 0, got -1$"),
+    ([], r"^config: top level must be an object$"),
+    (dict(two_block_doc(), output_streams=["y"]),
+     r"^output_streams\[0\]: expected an object$"),
+    (dict(two_block_doc(), output_streams=[{"name": "y"}]),
+     r"^output_streams\[0\]: needs 'dim'$"),
+    (dict(two_block_doc(), output_streams=[{}]),
+     r"^output_streams\[0\]: needs 'name' and 'dim'$"),
 ]
 
 
@@ -161,8 +175,9 @@ LOCATED = (r"(config|input_dim|layers|order|output_streams|precision|unknown pre
 class TestParseConfig:
     @pytest.mark.parametrize("doc,where", BAD_DOCS)
     def test_mistyped_or_out_of_range_field(self, doc, where):
-        with pytest.raises(ConfigError, match=where):
+        with pytest.raises(ConfigError, match=where) as e:
             parse_config(json.dumps(doc))
+        assert re.match(LOCATED, str(e.value)), str(e.value)
 
     @pytest.mark.parametrize("precision", ["fp16", None, 32, ["fp32"]])
     def test_direct_config_with_bad_precision(self, precision):
@@ -230,6 +245,24 @@ class TestParseConfig:
     def test_shorthand_layer_count_at_bound(self):
         cfg = expand_shorthand(f"{net.MAX_SHORTHAND_LAYERS - 1}+1", "1,1,1,1")
         assert len(cfg.layers) == net.MAX_SHORTHAND_LAYERS
+
+    def test_shorthand_numbers_may_carry_spaces(self):
+        spaced = parse_config('{"layers": " 6 + 2", "order": "10, 10, 2, 2"}')
+        assert spaced == preset_config("E")
+
+    def test_spec_built_from_its_dataclass_fields(self):
+        # a spec's document keys and required keys come from its fields alone
+        @dataclass(frozen=True)
+        class Spec:
+            width: int
+            name: str = "x"
+
+        got = net._spec_from(Spec, {"width": 3, "kind": 1}, "s", extras=("kind",))
+        assert got == Spec(3)
+        with pytest.raises(ConfigError, match=r"^s: needs 'width'$"):
+            net._spec_from(Spec, {"name": "y"}, "s")
+        with pytest.raises(ConfigError, match=r"^s: unknown key\(s\) \['kind'\]$"):
+            net._spec_from(Spec, {"width": 3, "kind": 1}, "s")
 
     def test_malformed_order_tuple(self):
         with pytest.raises(ConfigError, match="order"):

@@ -578,6 +578,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             train(cfg, build_network(cfg, 0), [], TrainConfig(max_epochs=1))
 
+    def test_evaluate_mse_checks_its_dataset(self):
+        cfg, params, seqs = packing_case()
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            evaluate_mse(params, cfg, [])
+        lacking = SequenceData(seqs[2].seq_id, seqs[2].inputs, {"a": seqs[2].targets["a"]})
+        with pytest.raises(ShapeError, match="^sequence s2: missing stream 'b'$"):
+            evaluate_mse(params, cfg, seqs[:2] + [lacking])
+
     def test_empty_validation_set_rejected(self):
         # only None means "validate on the training set"
         train_set, _ = self._echo_data()
