@@ -7,12 +7,18 @@ float64 for finite-difference verification.
 
 Random numbers come from a self-contained counter-based generator (SplitMix64
 finalizer over a 64-bit counter, Box-Muller for normals) rather than numpy's
-Generator, so that a given seed produces bit-identical streams on any platform
-or language that reimplements the same 20 lines. Because the generator is
-seekable, seeded_normal splits a large draw into pieces that each read their
-own counter range, and fills them on one thread per available core with the
-Box-Muller fill that Counter64.normal uses; the bytes do not depend on how
-many threads ran or in what order.
+Generator. Its integers and uniforms are exact integer and power-of-two
+arithmetic, the same bits anywhere. A normal's Box-Muller angle is a table
+angle plus a remainder: the angle's top bits pick one of 1024 angles whose
+cos and sin are tabled at import, short Taylor polynomials give the small
+remainder's, and the angle-addition formulas join the two, so no cos or sin
+is called per value. The normals' bytes therefore rest on numpy's log and on
+the table's cos and sin: they are fixed for one numpy and libm build, not
+for every platform. Because the generator is seekable, seeded_normal splits
+a large draw into pieces that each read their own counter range, and fills
+them on one thread per available core with the Box-Muller fill that
+Counter64.normal uses; the bytes do not depend on how many threads ran or
+in what order.
 """
 
 from __future__ import annotations
@@ -41,6 +47,16 @@ _FINALIZER = ((30, _MIX1), (27, _MIX2), (31, None))  # x ^= x >> shift; x *= mix
 # piece per worker thread, each piece a whole number of pairs so that every
 # piece but the last consumes exactly its own counter slots.
 NORMAL_CHUNK = 1 << 17
+# Box-Muller angles: the top _ANGLE_BITS of a 53-bit uniform pick one of
+# 1024 table angles k * 2pi / 1024, and the other bits a remainder x below
+# 2pi / 1024, whose cos and sin take Taylor terms up to x**6 and x**7 (the
+# first terms left out are below 1e-22).
+_ANGLE_BITS = 10
+_REMAINDER_BITS = 53 - _ANGLE_BITS
+_TABLE_ANGLES = 2.0 * math.pi / (1 << _ANGLE_BITS) * np.arange(1 << _ANGLE_BITS)
+_COS_TABLE, _SIN_TABLE = np.cos(_TABLE_ANGLES), np.sin(_TABLE_ANGLES)
+_COS_TERMS = (-1 / 2, 1 / 24, -1 / 720)  # cos x = 1 + sum of terms[i - 1] x**2i
+_SIN_TERMS = (-1 / 6, 1 / 120, -1 / 5040)  # sin x = x (1 + sum of terms[i - 1] x**2i)
 
 
 class ShapeError(ValueError):
@@ -179,26 +195,60 @@ class _NormalPieces:
     def fill(self, seed: int, start: int, dst: np.ndarray, stddev: float) -> None:
         """dst[...] = stddev * Box-Muller normals of seed's counter slots
         start + 1, start + 2, ..., a pair per two slots, from any start. The
-        pieces of one seeded_normal draw start even to pair as the draw does."""
+        pieces of one seeded_normal draw start even to pair as the draw does.
+
+        A pair's even slot gives the radius r = sqrt(-2 log u) and its odd
+        slot the angle: the top _ANGLE_BITS of its 53 bits pick a table
+        angle, the rest a remainder x, and r cos and r sin of the sum are
+        joined from the table's and x's by the angle-addition formulas."""
         m = (dst.size + 1) // 2
         z, t = self.bits[:2 * m], self.spare[:2 * m]
         np.add(self.steps[:2 * m], _U64((seed + start * _GAMMA) & _MASK64), out=z)
         _finalize(z, t)
         z >>= _U64(11)
+        k = self.trig[:m].view(_U64)
+        np.right_shift(z[1::2], _U64(_REMAINDER_BITS), out=k)
+        z[1::2] &= _U64((1 << _REMAINDER_BITS) - 1)
         u = t.view(np.float64)
-        u[...] = z
+        r, x = u[:m], u[m:]
+        r[...] = z[0::2]
+        x[...] = z[1::2]
         u += 0.5
-        u *= 2.0**-53
-        r, theta, trig = z.view(np.float64)[:m], z.view(np.float64)[m:], self.trig[:m]
-        np.log(u[0::2], out=r)
+        r *= 2.0**-53
+        np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        np.multiply(u[1::2], 2.0 * math.pi, out=theta)
-        np.cos(theta, out=trig)
-        np.multiply(r, trig, out=u[0::2])
-        np.sin(theta, out=trig)
-        np.multiply(r, trig, out=u[1::2])
-        np.multiply(u[:dst.size], stddev, out=dst)
+        x *= 2.0 * math.pi * 2.0**-53
+        rc, rs = z.view(np.float64)[:m], z.view(np.float64)[m:]
+        # mode "raise" (the default) would copy out through a new array
+        np.take(_COS_TABLE, k.view(np.intp), out=rc, mode="wrap")
+        np.take(_SIN_TABLE, k.view(np.intp), out=rs, mode="wrap")
+        rc *= r
+        rs *= r
+        # sin x takes r's slot, now folded into rc and rs; cos x takes x's
+        w, sx, cx = self.trig[:m], r, x
+        np.multiply(x, x, out=w)
+        _taylor(w, _SIN_TERMS, out=sx)
+        sx *= x
+        _taylor(w, _COS_TERMS, out=cx)
+        # r cos = rc cx - rs sx and r sin = rs cx + rc sx, in the freed slots
+        np.multiply(rs, cx, out=w)
+        cx *= rc
+        rs *= sx
+        rc *= sx
+        np.subtract(cx, rs, out=rs)
+        np.add(w, rc, out=rc)
+        np.multiply(rs, stddev, out=dst[0::2])
+        np.multiply(rc[:dst.size // 2], stddev, out=dst[1::2])
+
+
+def _taylor(w: np.ndarray, terms: tuple, out: np.ndarray) -> None:
+    """out[...] = 1 + terms[0] w + terms[1] w**2 + ..., by Horner's rule."""
+    np.multiply(w, terms[-1], out=out)
+    for c in reversed(terms[:-1]):
+        out += c
+        out *= w
+    out += 1.0
 
 
 def seeded_normal(seed: int, rows: int, cols: int, stddev: float = 1.0,

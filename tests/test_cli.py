@@ -741,8 +741,10 @@ class TestStreamRule:
         assert captured.err == f"error: {prefix}{message}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("mode", RUN_MODES)
-    # "in", not "input": each "module.Class::test[id]" stays distinct in 100 characters
+    # "in", not "input", and "hyp-hypothesis", not "eval-hyp-hypothesis": each
+    # id stays distinct in its first 100 characters (test_ids.py)
+    @pytest.mark.parametrize("mode", RUN_MODES, ids=["train", "eval-model",
+                                                     "eval-hyp-reference", "hyp-hypothesis"])
     @pytest.mark.parametrize("stream", ["input", "echo"], ids=["in", "echo"])
     def test_non_finite_feature_value_exits_2_naming_the_file(self, tmp_path, echo_data,
                                                               capsys, mode, stream):
