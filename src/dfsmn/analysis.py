@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .network import DfsmnLayerSpec, NetworkConfig, count_params, layer_dims, preset_config
+from .network import (PRESETS, DfsmnLayerSpec, NetworkConfig, count_params, layer_dims,
+                      preset_config)
 
 FRAME_SHIFT_MS = 5
 FRAMES_PER_SECOND = 1000 // FRAME_SHIFT_MS
@@ -103,7 +104,9 @@ def size_mb(param_count: int) -> float:
     return param_count * 4 / 2**20
 
 
-def analyze(cfg: NetworkConfig, name: str = "custom") -> CostReport:
+def analyze(cfg: NetworkConfig) -> CostReport:
+    """Cost report of cfg, named after the preset it equals, else "custom"."""
+    name = next((n for n in PRESETS if preset_config(n, cfg.precision) == cfg), "custom")
     back, ahead = receptive_field(cfg)
     count = count_params(cfg)
     fpf = flops_per_frame(cfg)
@@ -129,7 +132,7 @@ def table_report(preset_names) -> tuple:
     Computed columns sit next to the published reference values; the BLSTM
     baseline row carries published numbers only.
     """
-    reports = [analyze(preset_config(n), n) for n in preset_names]
+    reports = [analyze(preset_config(n)) for n in preset_names]
     records = [r.to_dict() for r in reports]
 
     header = (f"{'id':<6}{'back':>6}{'ahead':>7}{'back_ms':>9}{'ahead_ms':>10}"

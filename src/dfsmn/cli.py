@@ -27,13 +27,11 @@ from .tensor import ShapeError
 def _load_config_arg(args) -> net.NetworkConfig:
     if getattr(args, "preset", None):
         return preset_config(args.preset)
-    with open(args.config) as f:
-        text = f.read()
     try:
-        return parse_config(text)
-    except ConfigError as e:
-        e.args = (f"{args.config}: {e}",)
-        raise
+        with open(args.config, encoding="utf-8") as f:
+            return parse_config(f.read())
+    except (ConfigError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{args.config}: {e}") from None
 
 
 def cmd_analyze(args) -> int:
@@ -44,7 +42,7 @@ def cmd_analyze(args) -> int:
             _write_records(args.out, records)
         return 0
     cfg = _load_config_arg(args)
-    report = analysis.analyze(cfg, args.preset or "custom")
+    report = analysis.analyze(cfg)
     for key, value in report.to_dict().items():
         if key == "param_count":
             print(f"{key:<18} {value:,}")

@@ -85,26 +85,28 @@ def write_dataset(dirpath, dataset) -> None:
 def read_manifest(dirpath):
     """Returns [(seq_id, frames), ...] in manifest order; an id may appear once."""
     path = os.path.join(dirpath, MANIFEST_NAME)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no {MANIFEST_NAME} in {dirpath}")
-    entries = []
-    first_line = {}
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected 'id<TAB>frames'")
-            if parts[0] in first_line:
-                raise ValueError(f"{path}:{ln}: id {parts[0]!r} repeats line "
-                                 f"{first_line[parts[0]]}")
-            first_line[parts[0]] = ln
-            if not (parts[1].isascii() and parts[1].isdigit()):
-                raise ValueError(f"{path}:{ln}: frame count {parts[1]!r} is not a "
-                                 f"non-negative integer")
-            entries.append((parts[0], int(parts[1])))
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no {MANIFEST_NAME} in {dirpath}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
+    entries, first_line = [], {}
+    for ln, line in enumerate(lines, 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{ln}: expected 'id<TAB>frames'")
+        if parts[0] in first_line:
+            raise ValueError(f"{path}:{ln}: id {parts[0]!r} repeats line "
+                             f"{first_line[parts[0]]}")
+        first_line[parts[0]] = ln
+        if not (parts[1].isascii() and parts[1].isdigit()):
+            raise ValueError(f"{path}:{ln}: frame count {parts[1]!r} is not a "
+                             f"non-negative integer")
+        entries.append((parts[0], int(parts[1])))
     return entries
 
 
@@ -133,13 +135,13 @@ def load_dataset(dirpath):
             raise FileNotFoundError(f"{dirpath}: sequence {seq_id} has no input file")
         data = {}
         for stream in sorted(streams_of[seq_id]):
-            fn = f"{seq_id}.{stream}.feat"
-            name, data[stream] = read_feature(os.path.join(dirpath, fn))
+            path = os.path.join(dirpath, f"{seq_id}.{stream}.feat")
+            name, data[stream] = read_feature(path)
             if name != stream:
                 raise ModelFileError(
-                    f"{fn}: header stream {name!r} != filename stream {stream!r}")
+                    f"{path}: header stream {name!r} != filename stream {stream!r}")
             got = len(data[stream])
             if got != frames:
-                raise ValueError(f"{seq_id}.{stream}: {got} frames, manifest says {frames}")
+                raise ValueError(f"{path}: {got} frames, manifest says {frames}")
         dataset.append(SequenceData(seq_id, data.pop(INPUT_STREAM), data))
     return dataset

@@ -7,15 +7,14 @@ A memory-block layer computes, per frame t of the projected sequence p,
 
 with taps = [*back_taps, *ahead_taps] (element-wise vectors) and the signed
 offsets 0, -s_b, ..., -n_back*s_b, s_a, ..., n_ahead*s_a (s = stride), zero
-padded outside each bounds segment. The input gradient is the same filter
-with every offset negated. The layer output is act(ptilde @ out_weight +
+padded outside each bounds segment. A layer outputs act(ptilde @ out_weight +
 out_bias); the optional skip input, the previous layer's ptilde, is added
 through an identity map, so skip-connected layers share one projection width.
 
 The tap sum takes one of two paths, chosen by the spec's tap count alone:
 
-- fewer than GEMM_MIN_TAPS taps: a walk that adds one shifted copy of p per
-  tap (`_tap_sum`);
+- fewer than GEMM_MIN_TAPS taps: a walk over `_tap_rows`' (q, rows, src) pairs:
+  out[rows] += taps[q] * p[src]; backward, gp[src] += taps[q] * grad[rows];
 - otherwise the filter, with the identity folded into offset 0, runs as one
   batched GEMM per channel (`_fir`). Every offset is a multiple of
   g = gcd(offsets), so rows t = r (mod g) of a segment read only each other:
@@ -25,8 +24,9 @@ The tap sum takes one of two paths, chosen by the spec's tap count alone:
   least the filter's reach of zero frames before the next; each block of
   output frames is then its input window times a banded Toeplitz block. A
   row's result depends only on its own segment and on the spec, so a packed
-  batch gives the same bytes as separate calls. The tap gradient is the
-  gradient blocks times the forward's input windows, summed along diagonals.
+  batch gives the same bytes as separate calls. The input gradient runs the
+  mirrored filter; the tap gradient is the gradient blocks times the forward's
+  input windows, summed along diagonals.
 
 The two paths round differently (they agree to about 1e-6 relative in fp32);
 each is bit-exactly causal. A non-finite frame on the GEMM path also reaches the
@@ -152,10 +152,10 @@ def memory_block(p_seq: np.ndarray, back_taps: np.ndarray, ahead_taps: np.ndarra
         if skip_seq is not None:
             out += skip_seq
         return out
-    out = p_seq.copy()
-    if skip_seq is not None:
-        out += skip_seq
-    _tap_sum(out, p_seq, [*back_taps, *ahead_taps], offsets, segments)
+    out = p_seq.copy() if skip_seq is None else p_seq + skip_seq
+    taps = [*back_taps, *ahead_taps]
+    for q, rows, src in _tap_rows(offsets, segments):
+        out[rows] += taps[q] * p_seq[src]
     return out
 
 
@@ -166,33 +166,27 @@ def memory_block_backward(grad_ptilde: np.ndarray, p_seq: np.ndarray,
     d skip); d skip is grad_ptilde itself, or None when spec has no skip."""
     _check_block_args(p_seq, back_taps, ahead_taps, spec, grad_ptilde=grad_ptilde)
     offsets, segments = _tap_offsets(spec), _segments(bounds, p_seq.shape[0])
-    g_skip = grad_ptilde if spec.skip else None
     if len(offsets) >= GEMM_MIN_TAPS:
         plan = _GemmPlan(offsets, segments)
         mirrored = plan.filter(back_taps, ahead_taps)[:, ::-1]
         gp = _fir(grad_ptilde, mirrored, plan.ahead, plan)
         d_taps = _tap_grad(grad_ptilde, p_seq, plan)
-        n = back_taps.shape[0]
-        return gp, d_taps[:n], d_taps[n:], g_skip
-    gp = grad_ptilde.copy()
-    _tap_sum(gp, grad_ptilde, [*back_taps, *ahead_taps], [-k for k in offsets], segments)
-    d_back, d_ahead = np.zeros_like(back_taps), np.zeros_like(ahead_taps)
-    d_taps = [*d_back, *d_ahead]
-    for q, rows, src in _tap_rows(offsets, segments):
-        d_taps[q] += (grad_ptilde[rows] * p_seq[src]).sum(axis=0)
-    return gp, d_back, d_ahead, g_skip
+    else:
+        taps, gp = [*back_taps, *ahead_taps], grad_ptilde.copy()
+        for q, rows, src in _tap_rows(offsets, segments):
+            gp[src] += taps[q] * grad_ptilde[rows]
+        d_taps = np.zeros((len(offsets), p_seq.shape[1]), p_seq.dtype)
+        d_rows = list(d_taps)
+        for q, rows, src in _tap_rows(offsets, segments):
+            d_rows[q] += (grad_ptilde[rows] * p_seq[src]).sum(axis=0)
+    n = back_taps.shape[0]
+    return gp, d_taps[:n], d_taps[n:], grad_ptilde if spec.skip else None
 
 
 def _tap_offsets(spec: DfsmnLayerSpec) -> list:
     """Each stored tap's signed frame offset: 0, -s_b, -2 s_b, ..., then s_a, 2 s_a, ..."""
     return ([-i * spec.stride_back for i in range(spec.n_back + 1)]
             + [j * spec.stride_ahead for j in range(1, spec.n_ahead + 1)])
-
-
-def _tap_sum(out: np.ndarray, x: np.ndarray, taps, offsets, bounds) -> None:
-    """out[t] += taps[q] * x[t + offsets[q]], taps in order, within each segment."""
-    for q, rows, src in _tap_rows(offsets, bounds):
-        out[rows] += taps[q] * x[src]
 
 
 def _tap_rows(offsets, bounds):

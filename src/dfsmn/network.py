@@ -261,6 +261,8 @@ def parse_config(text: str) -> NetworkConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be an object")
     _reject_unknown(doc, _TOP_KEYS, "config")

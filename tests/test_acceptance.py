@@ -56,7 +56,7 @@ class TestCriterion2ReceptiveField:
     def test_preset_e_and_formula(self):
         back, ahead = analysis.receptive_field(preset_config("E"))
         ok = (back, ahead) == (120, 120)
-        ok = ok and analysis.analyze(preset_config("E"), "E").look_back_ms == 600
+        ok = ok and analysis.analyze(preset_config("E")).look_back_ms == 600
         for name in ALL_PRESETS:
             cfg = preset_config(name)
             want = sum(s.n_back * s.stride_back for s in cfg.layers
@@ -104,7 +104,7 @@ class TestCriterion2ReceptiveField:
 
 class TestCriterion3ModelSize:
     def test_sizes_against_published(self):
-        sizes = {n: analysis.analyze(preset_config(n), n).size_mb
+        sizes = {n: analysis.analyze(preset_config(n)).size_mb
                  for n in ALL_PRESETS}
         within = all(abs(sizes[n] - PUBLISHED_SIZE_MB[n]) / PUBLISHED_SIZE_MB[n]
                      <= 0.20 for n in ALL_PRESETS)
@@ -121,7 +121,7 @@ class TestCriterion3ModelSize:
 
 class TestCriterion4Flops:
     def test_flops_against_published(self):
-        gflops = {n: analysis.analyze(preset_config(n), n).gflops_per_second
+        gflops = {n: analysis.analyze(preset_config(n)).gflops_per_second
                   for n in ALL_PRESETS}
         factor2 = all(0.5 < gflops[n] / PUBLISHED_GFLOPS[n] < 2.0
                       for n in ALL_PRESETS)

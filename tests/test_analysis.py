@@ -36,7 +36,7 @@ class TestReceptiveField:
     def test_preset_e_is_120_each_side(self):
         cfg = preset_config("E")
         assert receptive_field(cfg) == (120, 120)
-        rep = analyze(cfg, "E")
+        rep = analyze(cfg)
         assert rep.look_back_ms == 600
         assert rep.look_ahead_ms == 600
 
@@ -98,12 +98,12 @@ class TestFlops:
                 == 2 * 5 * 2)  # five extra taps, 2 flops per proj scalar
 
     def test_preset_a_magnitude(self):
-        rep = analyze(preset_config("A"), "A")
+        rep = analyze(preset_config("A"))
         assert 5.5 < rep.gflops_per_second < 5.9  # ~5.7 under the MAC=2 convention
 
     def test_within_factor_two_of_published(self):
         for name in ALL_PRESETS:
-            rep = analyze(preset_config(name), name)
+            rep = analyze(preset_config(name))
             ratio = rep.gflops_per_second / rep.ref_gflops
             assert 0.5 < ratio < 2.0
 
@@ -136,25 +136,25 @@ class TestSizes:
     def test_size_formula_exact(self):
         for name in ALL_PRESETS:
             cfg = preset_config(name)
-            rep = analyze(cfg, name)
+            rep = analyze(cfg)
             assert rep.size_mb == count_params(cfg) * 4 / 2**20
 
     def test_preset_a_in_published_band(self):
-        rep = analyze(preset_config("A"), "A")
+        rep = analyze(preset_config("A"))
         assert 62.0 * 0.8 <= rep.size_mb <= 62.0 * 1.2
 
     def test_all_presets_within_20pct(self):
         for name in ALL_PRESETS:
-            rep = analyze(preset_config(name), name)
+            rep = analyze(preset_config(name))
             assert abs(rep.size_mb - rep.ref_size_mb) / rep.ref_size_mb <= 0.20
 
     def test_monotone_ordering(self):
-        sizes = [analyze(preset_config(n), n).size_mb for n in ALL_PRESETS]
+        sizes = [analyze(preset_config(n)).size_mb for n in ALL_PRESETS]
         for a, b in zip(sizes, sizes[1:]):
             assert a <= b
 
     def test_a_to_d_within_half_mb(self):
-        sizes = [analyze(preset_config(n), n).size_mb for n in "ABCD"]
+        sizes = [analyze(preset_config(n)).size_mb for n in "ABCD"]
         assert max(sizes) - min(sizes) < 0.5
 
 
@@ -189,7 +189,7 @@ class TestTableReport:
     @pytest.mark.parametrize("a,b", [("D", "E"), ("E", "F"), ("F", "I")])
     def test_published_steps_count_one_op_per_multiply_add(self, a, b):
         # each published value is rounded to 0.01, so a step is within 0.01
-        counted = {n: analyze(preset_config(n), n).gflops_per_second for n in (a, b)}
+        counted = {n: analyze(preset_config(n)).gflops_per_second for n in (a, b)}
         published = PUBLISHED_REFERENCE[b][1] - PUBLISHED_REFERENCE[a][1]
         assert abs(published - (counted[b] - counted[a]) / 2) <= 0.01
 

@@ -90,6 +90,35 @@ class TestAnalyze:
                                 "got 0\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fault", ["deep", "not-utf8"])
+    def test_unreadable_config_exits_2_naming_the_file(self, tmp_path, capsys, fault):
+        cfg = tmp_path / "bad.json"
+        if fault == "deep":
+            cfg.write_text("[" * 100000)
+            message = "config is nested too deeply to parse\n"
+        else:
+            cfg.write_bytes(b'{"preset": "\xff"}')
+            message = "'utf-8' codec can't decode byte 0xff in position 12"
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cfg}: {message}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("doc,name,ref_size_mb", [
+        ({"preset": "E"}, "E", "87.0000"),
+        ({"preset": "E", "precision": "fp64"}, "E", "87.0000"),
+        ({"layers": "6+2", "order": "10,10,2,2"}, "E", "87.0000"),
+        (FP64_TANH_CONFIG, "custom", "-"),
+    ], ids=["preset", "preset-fp64", "shorthand", "custom"])
+    def test_config_named_after_the_preset_it_equals(self, tmp_path, capsys, doc, name,
+                                                     ref_size_mb):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"{'name':<18} {name}" in lines
+        assert f"{'ref_size_mb':<18} {ref_size_mb}" in lines
+
 
 class TestGradcheck:
     def test_pass_and_fail_exit_codes(self, tmp_path, capsys, monkeypatch):
@@ -270,6 +299,17 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert captured.err == (f"error: {model}: layers[0].hidden: must be an integer >= 1, "
                                 "got 0\n")
+        assert captured.out == ""
+
+    def test_eval_model_with_too_deep_embedded_config_exits_2_naming_the_file(
+            self, tmp_path, echo_data, capsys):
+        cfg_bytes = b"[" * 100000
+        model = tmp_path / "deep.dfsmn"
+        model.write_bytes(MAGIC + struct.pack("<II", VERSION, len(cfg_bytes)) + cfg_bytes)
+        assert main(["eval", "--model", str(model), "--data",
+                     str(echo_data / "valid")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {model}: config is nested too deeply to parse\n"
         assert captured.out == ""
 
     def test_no_optional_flag_gives_the_train_config_defaults(self, tmp_path, echo_data,
@@ -771,6 +811,30 @@ class TestStreamRule:
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: bad magic b'XXXX', expected b'FEAT'\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    @pytest.mark.parametrize("fault", ["header", "frames", "manifest"])
+    def test_dataset_fault_exits_2_naming_the_file(self, tmp_path, echo_data, capsys,
+                                                   mode, fault):
+        argv, faulty, _ = _echo_run(tmp_path, echo_data, mode)
+        path = faulty / "train0001.echo.feat"
+        _, data = read_feature(path)
+        if fault == "header":
+            write_feature(path, "other", data)
+            message = f"{path}: header stream 'other' != filename stream 'echo'\n"
+        elif fault == "frames":
+            write_feature(path, "echo", data[1:])
+            message = f"{path}: {len(data) - 1} frames, manifest says {len(data)}\n"
+        else:
+            path = faulty / "manifest.txt"
+            path.write_bytes(path.read_bytes().replace(b"train0001", b"train\xff001"))
+            message = f"{path}: 'utf-8' codec can't decode byte 0xff"
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not (tmp_path / "out.dfsmn").exists()
 
     @pytest.mark.parametrize("side", ["reference", "hypothesis"])
     def test_eval_hyp_0_wide_lf0_exits_2(self, tmp_path, capsys, side):
