@@ -10,12 +10,13 @@ acoustic measures and so pins their skip lines; and one full-width
 artifact, a preset-E packed forward and backward, run on the net after a
 save and load, whose per-tensor digests show GEMM, blocking and loader
 effects that the toy nets are too small to reach. Every artifact is
-written under --out and its digest is printed as "<sha256>  <artifact>", after a first line
-giving the BLAS thread count in effect, so two runs compare with `diff`.
+written under --out and its digest is printed as "<sha256>  <artifact>".
 
-The digests depend on the BLAS build, its thread count and the CPU, so
-compare runs made on one machine at one thread count, for example a
-checkout against a copy of its parent commit:
+The digests depend on the BLAS build, its version and thread count, numpy
+and the CPU; a "# <field> <value>" header line names each, so a `diff` of
+two runs also shows why two machines' digests differ. Compare runs made on
+one machine at one thread count, for example a checkout against a copy of
+its parent commit:
 
     export OPENBLAS_NUM_THREADS=1
     PYTHONPATH=src python scripts/output_digests.py --out /tmp/new > new.txt
@@ -27,7 +28,6 @@ checkout against a copy of its parent commit:
 import argparse
 import contextlib
 import hashlib
-import json
 import os
 import sys
 
@@ -35,6 +35,7 @@ import numpy as np
 
 from dfsmn import model_io, network, trainer
 from dfsmn.cli import main as dfsmn
+from dfsmn.network import DfsmnLayerSpec, FcLayerSpec, NetworkConfig, StreamSpec
 from dfsmn.tensor import derive_seed, seeded_normal
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -44,30 +45,25 @@ import stamp  # noqa: E402  (perfbench's environment stamp)
 SEED = 0  # toy_other, the --hyp side of eval --hyp, is drawn from SEED + 1
 FULL_WIDTH_LENGTHS = (400, 300)  # frames of the two packed preset-E sequences
 
-
-def mb_layer(n_back, n_ahead, skip, hidden=16, proj=8):
-    return {"type": "dfsmn", "hidden": hidden, "proj": proj, "n_back": n_back,
-            "n_ahead": n_ahead, "stride_back": 1, "stride_ahead": 1, "skip": skip,
-            "activation": "relu"}
-
-
-TOY_STREAMS = [dict(name=n, dim=d, **({"activation": "sigmoid"} if n == "uv" else {}))
-               for n, d in sorted(trainer.TOY_DIMS.items())]
+TOY_STREAMS = tuple(StreamSpec(n, d, "sigmoid" if n == "uv" else "linear")
+                    for n, d in sorted(trainer.TOY_DIMS.items()))
 TOY_DIM = 5
 
-NETS = {  # name -> (n_back, n_ahead) of both memory-block layers
-    "walk": (3, 2),    # 6 taps: per-tap walk
-    "gemm": (10, 8),   # 19 taps: Toeplitz-block GEMM
-}
 
-GRADCHECK_CONFIG = {
-    "input_dim": 4,
-    "layers": [mb_layer(2, 1, False, 6, 3), mb_layer(2, 1, True, 6, 3),
-               {"type": "fc", "hidden": 5, "activation": "tanh"}],
-    "output_streams": [{"name": "y", "dim": 2}, {"name": "v", "dim": 1,
-                                                  "activation": "sigmoid"}],
-    "precision": "fp64",
-}
+def toy_net(n_back, n_ahead):
+    """Two memory blocks, hidden 16 and proj 8, the second with skip."""
+    return NetworkConfig(TOY_DIM, (DfsmnLayerSpec(16, 8, n_back, n_ahead),
+                                   DfsmnLayerSpec(16, 8, n_back, n_ahead, skip=True)),
+                         TOY_STREAMS)
+
+
+# 6 taps run the per-tap walk, 19 the Toeplitz-block GEMM
+NETS = {"walk": toy_net(3, 2), "gemm": toy_net(10, 8)}
+
+GRADCHECK_CONFIG = NetworkConfig(
+    4, (DfsmnLayerSpec(6, 3, 2, 1), DfsmnLayerSpec(6, 3, 2, 1, skip=True),
+        FcLayerSpec(5, "tanh")),
+    (StreamSpec("y", 2), StreamSpec("v", 1, "sigmoid")), "fp64")
 
 
 def run(argv, stdout_path=os.devnull) -> None:
@@ -150,22 +146,17 @@ def main(argv=None) -> int:
     run(toy + ["--seed", str(SEED + 1), "--out", out("toy_other")])
     artifacts += ["echo", "toy", "toy_other"]
 
-    for name, (n_back, n_ahead) in NETS.items():
-        cfg_path = out(f"{name}.json")
-        with open(cfg_path, "w") as f:
-            json.dump({"input_dim": TOY_DIM,
-                       "layers": [mb_layer(n_back, n_ahead, False),
-                                  mb_layer(n_back, n_ahead, True)],
-                       "output_streams": TOY_STREAMS, "precision": "fp32"}, f)
-        run(["train", "--config", cfg_path, "--data", out("toy"), "--out",
+    for name, cfg in [*NETS.items(), ("gradcheck", GRADCHECK_CONFIG)]:
+        with open(out(f"{name}.json"), "w") as f:
+            f.write(network.config_to_json(cfg))
+    for name in NETS:
+        run(["train", "--config", out(f"{name}.json"), "--data", out("toy"), "--out",
              out(f"{name}.dfsmn"), "--epochs", "4", "--lr", "0.05",
              "--batch-frames", "64", "--seed", seed])
         run(["eval", "--model", out(f"{name}.dfsmn"), "--data", out("toy/valid")],
             out(f"{name}.eval.txt"))
         artifacts += [f"{name}.dfsmn", f"{name}.dfsmn.history", f"{name}.eval.txt"]
 
-    with open(out("gradcheck.json"), "w") as f:
-        json.dump(GRADCHECK_CONFIG, f)
     run(["gradcheck", "--config", out("gradcheck.json"), "--frames", "12",
          "--seed", seed], out("gradcheck.txt"))
     run(["eval", "--data", out("toy/train"), "--hyp", out("toy_other/train")],
@@ -175,7 +166,9 @@ def main(argv=None) -> int:
     full_width(out("full_width_e.txt"))
     artifacts += ["gradcheck.txt", "eval_hyp.txt", "eval_hyp_echo.txt", "full_width_e.txt"]
 
-    print(f"# blas_threads {stamp.environment(ROOT, SEED)['blas_threads']}")
+    env = stamp.environment(ROOT, SEED)
+    for field in ("blas", "blas_version", "blas_threads", "numpy", "cpu"):
+        print(f"# {field} {env[field]}")
     for name in artifacts:
         print(f"{digest(out(name))}  {name}")
     return 0

@@ -26,7 +26,8 @@ The tap sum takes one of two paths, chosen by the spec's tap count alone:
   row's result depends only on its own segment and on the spec, so a packed
   batch gives the same bytes as separate calls. The input gradient runs the
   mirrored filter; the tap gradient is the gradient blocks times the forward's
-  input windows, summed along diagonals.
+  input windows, summed along diagonals. Both read one padded copy of the
+  gradient (`_GemmPlan.pad`).
 
 The two paths round differently (they agree to about 1e-6 relative in fp32);
 each is bit-exactly causal. A non-finite frame on the GEMM path also reaches the
@@ -148,7 +149,7 @@ def memory_block(p_seq: np.ndarray, back_taps: np.ndarray, ahead_taps: np.ndarra
     offsets, segments = _tap_offsets(spec), _segments(bounds, p_seq.shape[0])
     if len(offsets) >= GEMM_MIN_TAPS:
         plan = _GemmPlan(offsets, segments)
-        out = _fir(p_seq, plan.filter(back_taps, ahead_taps), plan.back, plan)
+        out = _fir(plan.pad(p_seq), plan.filter(back_taps, ahead_taps), plan.back, plan)
         if skip_seq is not None:
             out += skip_seq
         return out
@@ -168,9 +169,9 @@ def memory_block_backward(grad_ptilde: np.ndarray, p_seq: np.ndarray,
     offsets, segments = _tap_offsets(spec), _segments(bounds, p_seq.shape[0])
     if len(offsets) >= GEMM_MIN_TAPS:
         plan = _GemmPlan(offsets, segments)
-        mirrored = plan.filter(back_taps, ahead_taps)[:, ::-1]
-        gp = _fir(grad_ptilde, mirrored, plan.ahead, plan)
-        d_taps = _tap_grad(grad_ptilde, p_seq, plan)
+        grad_buf = plan.pad(grad_ptilde)  # read by both products
+        gp = _fir(grad_buf, plan.filter(back_taps, ahead_taps)[:, ::-1], plan.ahead, plan)
+        d_taps = _tap_grad(grad_buf, plan.pad(p_seq), plan)
     else:
         taps, gp = [*back_taps, *ahead_taps], grad_ptilde.copy()
         for q, rows, src in _tap_rows(offsets, segments):
@@ -240,11 +241,15 @@ class _GemmPlan:
         f[:, self.back] += 1
         return f
 
-    def windows(self, x: np.ndarray, lead: int, width: int):
-        """Sliding `width`-frame windows over x's buffer and the start of each
-        multiplied block's window, `lead` frames before the block."""
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """(d, buffer_len) buffer holding the (T, d) frames x in this layout."""
         buf = np.zeros((x.shape[1], self.buffer_len), x.dtype)
         buf[:, self.buffer_slot] = x.T
+        return buf
+
+    def windows(self, buf: np.ndarray, lead: int, width: int):
+        """Sliding `width`-frame windows over a pad buffer and the start of
+        each multiplied block's window, `lead` frames before the block."""
         view = sliding_window_view(buf, width, axis=1)
         return view, self.reach - lead + self.blocks * GEMM_BLOCK
 
@@ -267,28 +272,28 @@ def _toeplitz(f: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(padded, B, axis=1)[:, :B + S - 1, ::-1])
 
 
-def _fir(x: np.ndarray, f: np.ndarray, lead: int, plan: _GemmPlan) -> np.ndarray:
-    """out[t] = sum_s f[:, s] * x[t + g * (s - lead)] within t's segment (g the
-    phase count), as a batched GEMM of input windows by Toeplitz blocks."""
+def _fir(buf: np.ndarray, f: np.ndarray, lead: int, plan: _GemmPlan) -> np.ndarray:
+    """out[t] = sum_s f[:, s] * x[t + g * (s - lead)] within t's segment, buf =
+    plan.pad(x), g the phase count: input windows times Toeplitz blocks."""
     d, S = f.shape
     width = GEMM_BLOCK + S - 1
-    view, starts = plan.windows(x, lead, width)
-    out = np.empty((d, len(starts), GEMM_BLOCK), x.dtype)
-    for c in plan.chunks(d, width, x.itemsize):
+    view, starts = plan.windows(buf, lead, width)
+    out = np.empty((d, len(starts), GEMM_BLOCK), buf.dtype)
+    for c in plan.chunks(d, width, buf.itemsize):
         np.matmul(view[c, starts], _toeplitz(f[c]), out=out[c])
     return plan.rows(out)
 
 
-def _tap_grad(grad: np.ndarray, p_seq: np.ndarray, plan: _GemmPlan) -> np.ndarray:
-    """(taps, d) tap gradients, back taps then ahead: per channel chunk, the
-    GEMM m[c, i, j] = sum over blocks of grad[block + i] * p[block - back + j],
-    whose diagonal j - i = s sums to the gradient of filter column s."""
+def _tap_grad(grad_buf: np.ndarray, p_buf: np.ndarray, plan: _GemmPlan) -> np.ndarray:
+    """(taps, d) tap gradients, back taps then ahead, from the pad buffers: per
+    chunk, the GEMM m[c, i, j] = sum over blocks of grad[block + i] * p[block -
+    back + j], whose diagonal j - i = s sums to the gradient of column s."""
     B, S = GEMM_BLOCK, plan.back + plan.ahead + 1
     width = B + S - 1
-    gview, gstarts = plan.windows(grad, 0, B)
-    pview, pstarts = plan.windows(p_seq, plan.back, width)
-    d_f = np.empty((p_seq.shape[1], S), p_seq.dtype)
-    for c in plan.chunks(p_seq.shape[1], width, p_seq.itemsize):
+    gview, gstarts = plan.windows(grad_buf, 0, B)
+    pview, pstarts = plan.windows(p_buf, plan.back, width)
+    d_f = np.empty((p_buf.shape[0], S), p_buf.dtype)
+    for c in plan.chunks(len(d_f), width, p_buf.itemsize):
         m = np.matmul(gview[c, gstarts].transpose(0, 2, 1), pview[c, pstarts])
         s0, s1, s2 = m.strides
         d_f[c] = as_strided(m, (m.shape[0], B, S), (s0, s1 + s2, s2)).sum(axis=1)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Iterator, Optional, Union
 
@@ -28,7 +29,6 @@ import numpy as np
 from . import layers as L
 from .tensor import ShapeError, as_sequence, derive_seed, seeded_normal
 
-DEFAULT_INPUT_DIM = 754
 DEFAULT_HIDDEN = 2048
 DEFAULT_PROJ = 512
 DEFAULT_ACTIVATION = "relu"  # of memory-block and fc layers
@@ -37,6 +37,9 @@ DEFAULT_PRECISION = "fp32"
 # string, say one embedded in a model file, can ask for
 MAX_SHORTHAND_LAYERS = 1024
 PRECISIONS = {"fp32": np.dtype(np.float32), "fp64": np.dtype(np.float64)}
+# prints a value that breaks its rule, cut short however deep or long it is
+_VALUE_REPR = reprlib.Repr()
+_VALUE_REPR.maxlevel, _VALUE_REPR.maxstring, _VALUE_REPR.maxother = 6, 80, 200
 
 
 class ConfigError(ValueError):
@@ -88,15 +91,16 @@ def _tuple_of(*types, default):
 def check_fields(obj, where: str = "") -> None:
     """Apply the rule each field of the dataclass obj declares, in field
     order: the first value that breaks its rule raises ConfigError
-    "<where><field>: must be <description>, got <value!r>". A field that
-    declares no rule is a TypeError on the first object checked."""
+    "<where><field>: must be <description>, got <_VALUE_REPR of the value>".
+    A field that declares no rule is a TypeError on the first object checked."""
     for f in fields(obj):
         if "rule" not in f.metadata:
             raise TypeError(f"{type(obj).__name__}.{f.name} declares no rule")
         test, description = f.metadata["rule"]
         value = getattr(obj, f.name)
         if not test(value):
-            raise ConfigError(f"{where}{f.name}: must be {description}, got {value!r}")
+            raise ConfigError(f"{where}{f.name}: must be {description}, "
+                              f"got {_VALUE_REPR.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ DEFAULT_STREAMS = (
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    input_dim: int = _integer(DEFAULT_INPUT_DIM, minimum=1)
+    input_dim: int = _integer(754, minimum=1)
     layers: tuple = _tuple_of(DfsmnLayerSpec, FcLayerSpec, default=())
     output_streams: tuple = _tuple_of(StreamSpec, default=DEFAULT_STREAMS)
     precision: str = _one_of(tuple(PRECISIONS), DEFAULT_PRECISION)
@@ -173,12 +177,11 @@ def validate_config(cfg: NetworkConfig) -> None:
 # ---------------------------------------------------------------------------
 # shorthand + JSON parsing
 
-def expand_shorthand(layer_counts: str, orders: str, input_dim: int = DEFAULT_INPUT_DIM,
-                     hidden: int = DEFAULT_HIDDEN, proj: int = DEFAULT_PROJ,
-                     activation: str = DEFAULT_ACTIVATION,
-                     output_streams=DEFAULT_STREAMS,
-                     precision: str = DEFAULT_PRECISION) -> NetworkConfig:
-    """Build a config from the compact "Nc+Nd" / "N1,N2,s1,s2" notation.
+def expand_shorthand(layer_counts: str, order: str, hidden: int = DEFAULT_HIDDEN,
+                     proj: int = DEFAULT_PROJ, activation: str = DEFAULT_ACTIVATION,
+                     **settings) -> NetworkConfig:
+    """Build a config from the compact "Nc+Nd" / "N1,N2,s1,s2" notation;
+    settings are the other NetworkConfig fields, by name.
 
     Nc memory-block layers come first (skip connections between consecutive
     blocks, so every block after the first has skip on), then Nd plain layers.
@@ -188,9 +191,9 @@ def expand_shorthand(layer_counts: str, orders: str, input_dim: int = DEFAULT_IN
     except ValueError:
         raise ConfigError(f"layers: expected 'Nc+Nd', got {layer_counts!r}")
     try:
-        n1, n2, s1, s2 = map(int, orders.split(","))
+        n1, n2, s1, s2 = map(int, order.split(","))
     except ValueError:
-        raise ConfigError(f"order: expected 'N1,N2,s1,s2', got {orders!r}")
+        raise ConfigError(f"order: expected 'N1,N2,s1,s2', got {order!r}")
     if nc < 1:
         raise ConfigError(f"layers: need at least one memory-block layer, got {nc}")
     if nd < 0:
@@ -201,7 +204,7 @@ def expand_shorthand(layer_counts: str, orders: str, input_dim: int = DEFAULT_IN
     specs = [DfsmnLayerSpec(hidden, proj, n1, n2, s1, s2, skip=(i > 0),
                             activation=activation) for i in range(nc)]
     specs += [FcLayerSpec(hidden, activation) for _ in range(nd)]
-    return NetworkConfig(input_dim, tuple(specs), tuple(output_streams), precision)
+    return NetworkConfig(layers=tuple(specs), **settings)
 
 
 PRESETS = {
@@ -220,12 +223,14 @@ PRESETS = {
 def preset_config(name: str, precision: str = DEFAULT_PRECISION) -> NetworkConfig:
     if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; have {' '.join(sorted(PRESETS))}")
-    counts, orders = PRESETS[name]
-    return expand_shorthand(counts, orders, precision=precision)
+    return expand_shorthand(*PRESETS[name], precision=precision)
 
 
-_TOP_KEYS = {"preset", "input_dim", "layers", "order", "hidden", "proj",
-             "activation", "output_streams", "precision"}
+# keys only a shorthand document may set: expand_shorthand's parameters
+_SHORTHAND_KEYS = ("order", "hidden", "proj", "activation")
+_PLAIN_FIELDS = tuple(f.name for f in fields(NetworkConfig)
+                      if f.name not in ("layers", "output_streams"))
+_TOP_KEYS = {"preset", *_SHORTHAND_KEYS, *(f.name for f in fields(NetworkConfig))}
 _LAYER_TYPES = {"dfsmn": DfsmnLayerSpec, "fc": FcLayerSpec}
 
 
@@ -275,7 +280,7 @@ def parse_config(text: str) -> NetworkConfig:
 
     if "layers" not in doc:
         raise ConfigError("config: missing 'layers'")
-    common = _given(doc, "input_dim", "precision")
+    common = _given(doc, *_PLAIN_FIELDS)
     streams = doc.get("output_streams")
     if streams is not None:
         if not isinstance(streams, list) or not streams:
@@ -286,12 +291,11 @@ def parse_config(text: str) -> NetworkConfig:
     if isinstance(doc["layers"], str):
         if not isinstance(doc.get("order"), str):
             raise ConfigError("config: shorthand 'layers' needs an 'order' string")
-        return expand_shorthand(doc["layers"], doc["order"], **common,
-                                **_given(doc, "hidden", "proj", "activation"))
+        return expand_shorthand(doc["layers"], **_given(doc, *_SHORTHAND_KEYS), **common)
 
     if not isinstance(doc["layers"], list):
         raise ConfigError("layers: must be a list or 'Nc+Nd' string")
-    for key in ("order", "hidden", "proj", "activation"):
+    for key in _SHORTHAND_KEYS:
         if key in doc:
             raise ConfigError(f"config: {key!r} only applies to shorthand 'layers'")
     specs = []
@@ -308,12 +312,8 @@ def parse_config(text: str) -> NetworkConfig:
 
 def config_to_dict(cfg: NetworkConfig) -> dict:
     kinds = {cls: kind for kind, cls in _LAYER_TYPES.items()}
-    return {
-        "input_dim": cfg.input_dim,
-        "layers": [{"type": kinds[type(s)], **asdict(s)} for s in cfg.layers],
-        "output_streams": [asdict(s) for s in cfg.output_streams],
-        "precision": cfg.precision,
-    }
+    return {**asdict(cfg),
+            "layers": [{"type": kinds[type(s)], **asdict(s)} for s in cfg.layers]}
 
 
 def config_to_json(cfg: NetworkConfig) -> str:

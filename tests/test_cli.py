@@ -16,6 +16,7 @@ from dfsmn.features import (SequenceData, load_dataset, read_feature, read_manif
 from dfsmn.model_io import MAGIC, VERSION, save_model
 from dfsmn.network import build_network, config_to_json, expand_shorthand, parse_config
 from dfsmn.tensor import Counter64
+from test_network import LONG_VALUE_DOCS, LONG_VALUE_FIELDS
 
 FP64_TANH_CONFIG = {
     "input_dim": 4,
@@ -102,6 +103,17 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {cfg}: {message}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("case", sorted(LONG_VALUE_DOCS))
+    def test_long_bad_value_exits_2_printed_short(self, tmp_path, capsys, case):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(LONG_VALUE_DOCS[case])
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        where = f"error: {cfg}: "
+        assert captured.err.startswith(f"{where}{LONG_VALUE_FIELDS[case]}: must be ")
+        assert len(captured.err) < len(where) + 200, captured.err[:300]
         assert captured.out == ""
 
     @pytest.mark.parametrize("doc,name,ref_size_mb", [

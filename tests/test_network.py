@@ -345,6 +345,24 @@ def build_with(cls, name, value):
         replace(cfg, layers=tuple(layers))
 
 
+def nested_list(depth):
+    """A list nested depth levels deep, built without recursion."""
+    v = []
+    for _ in range(depth):
+        v = [v]
+    return v
+
+
+# documents whose bad value has a whole repr of thousands of characters
+LONG_VALUE_DOCS = {
+    "deep-list": '{"layers": [{"type": "dfsmn", "hidden": ' + "[" * 900 + "]" * 900 + "}]}",
+    "long-string": json.dumps({"layers": [{"type": "fc", "activation": "x" * 1_000_000}]}),
+}
+# the field a LONG_VALUE_DOCS case, or the deep-object case, names
+LONG_VALUE_FIELDS = {"deep-list": "layers[0].hidden", "long-string": "layers[0].activation",
+                     "deep-object": "layers[0].hidden"}
+
+
 class TestFieldRules:
     @pytest.mark.parametrize("cls,name", [(cls, f.name) for cls in SETTINGS
                                           for f in fields(cls)],
@@ -358,6 +376,19 @@ class TestFieldRules:
             message = str(caught.value)
             assert message.startswith(f"{field_loc(cls, name)}: must be "), message
             assert message.endswith(f", got {value!r}"), message
+
+    @pytest.mark.parametrize("case", [*LONG_VALUE_DOCS, "deep-object"])
+    def test_long_bad_value_printed_short(self, case):
+        # with values printed whole, the messages run to 1,847 and 1,000,080
+        # characters, and the 100,000-deep list's repr raises RecursionError
+        with pytest.raises(ConfigError) as caught:
+            if case == "deep-object":
+                NetworkConfig(layers=(DfsmnLayerSpec(hidden=nested_list(100_000)),))
+            else:
+                parse_config(LONG_VALUE_DOCS[case])
+        message = str(caught.value)
+        assert message.startswith(f"{LONG_VALUE_FIELDS[case]}: must be "), message[:300]
+        assert len(message) < 200, message[:300]
 
     def test_every_case_is_a_field(self):
         assert set(FIELD_CASES) == {f"{cls.__name__}.{f.name}" for cls in SETTINGS
