@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model_io import ModelFileError, _FileReader, _header
+from .network import _VALUE_REPR
 
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
@@ -100,12 +101,12 @@ def read_manifest(dirpath):
         if len(parts) != 2:
             raise ValueError(f"{path}:{ln}: expected 'id<TAB>frames'")
         if parts[0] in first_line:
-            raise ValueError(f"{path}:{ln}: id {parts[0]!r} repeats line "
+            raise ValueError(f"{path}:{ln}: id {_VALUE_REPR.repr(parts[0])} repeats line "
                              f"{first_line[parts[0]]}")
         first_line[parts[0]] = ln
         if not (parts[1].isascii() and parts[1].isdigit()):
-            raise ValueError(f"{path}:{ln}: frame count {parts[1]!r} is not a "
-                             f"non-negative integer")
+            raise ValueError(f"{path}:{ln}: frame count {_VALUE_REPR.repr(parts[1])} "
+                             f"is not a non-negative integer")
         entries.append((parts[0], int(parts[1])))
     return entries
 
@@ -139,7 +140,8 @@ def load_dataset(dirpath):
             name, data[stream] = read_feature(path)
             if name != stream:
                 raise ModelFileError(
-                    f"{path}: header stream {name!r} != filename stream {stream!r}")
+                    f"{path}: header stream {_VALUE_REPR.repr(name)} != filename stream "
+                    f"{_VALUE_REPR.repr(stream)}")
             got = len(data[stream])
             if got != frames:
                 raise ValueError(f"{path}: {got} frames, manifest says {frames}")

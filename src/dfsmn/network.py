@@ -37,7 +37,7 @@ DEFAULT_PRECISION = "fp32"
 # string, say one embedded in a model file, can ask for
 MAX_SHORTHAND_LAYERS = 1024
 PRECISIONS = {"fp32": np.dtype(np.float32), "fp64": np.dtype(np.float64)}
-# prints a value that breaks its rule, cut short however deep or long it is
+# prints every document value a fault echoes, cut short however deep or long
 _VALUE_REPR = reprlib.Repr()
 _VALUE_REPR.maxlevel, _VALUE_REPR.maxstring, _VALUE_REPR.maxother = 6, 80, 200
 
@@ -146,32 +146,28 @@ class NetworkConfig:
     precision: str = _one_of(tuple(PRECISIONS), DEFAULT_PRECISION)
 
     def __post_init__(self):
-        validate_config(self)
+        """check_fields on self, then on each layer and stream spec, named by
+        its place, in one walk; the skip rule follows a skip layer's fields,
+        the unique-name rule the last stream's."""
+        check_fields(self)
+        for li, spec in enumerate(self.layers):
+            check_fields(spec, f"layers[{li}].")
+            if isinstance(spec, DfsmnLayerSpec) and spec.skip:
+                prev = self.layers[li - 1] if li else None
+                if not isinstance(prev, DfsmnLayerSpec):
+                    raise ConfigError(f"layers[{li}]: skip needs an immediately preceding "
+                                      f"memory-block layer")
+                if prev.proj != spec.proj:
+                    raise ConfigError(f"layers[{li}].proj: skip needs the preceding layer's "
+                                      f"projection width {prev.proj}, got {spec.proj}")
+        for si, s in enumerate(self.output_streams):
+            check_fields(s, f"output_streams[{si}].")
+        names = [s.name for s in self.output_streams]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"output_streams: duplicate names in {_VALUE_REPR.repr(names)}")
 
     def dtype(self) -> np.dtype:
         return PRECISIONS[self.precision]
-
-
-def validate_config(cfg: NetworkConfig) -> None:
-    """check_fields on cfg and on each of its layer and stream specs, which
-    it names, then the rules that read more than one field."""
-    check_fields(cfg)
-    for li, spec in enumerate(cfg.layers):
-        check_fields(spec, f"layers[{li}].")
-        if isinstance(spec, DfsmnLayerSpec) and spec.skip and (
-                li == 0 or not isinstance(cfg.layers[li - 1], DfsmnLayerSpec)):
-            raise ConfigError(
-                f"layers[{li}]: skip needs an immediately preceding memory-block layer")
-    for si, s in enumerate(cfg.output_streams):
-        check_fields(s, f"output_streams[{si}].")
-    names = [s.name for s in cfg.output_streams]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"output_streams: duplicate names in {names}")
-    blocks = [s for s in cfg.layers if isinstance(s, DfsmnLayerSpec)]
-    proj_dims = sorted({s.proj for s in blocks})
-    if any(s.skip for s in blocks) and len(proj_dims) > 1:
-        raise ConfigError(
-            f"skip connections need one shared projection width, got {proj_dims}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +185,11 @@ def expand_shorthand(layer_counts: str, order: str, hidden: int = DEFAULT_HIDDEN
     try:
         nc, nd = map(int, layer_counts.split("+"))
     except ValueError:
-        raise ConfigError(f"layers: expected 'Nc+Nd', got {layer_counts!r}")
+        raise ConfigError(f"layers: expected 'Nc+Nd', got {_VALUE_REPR.repr(layer_counts)}")
     try:
         n1, n2, s1, s2 = map(int, order.split(","))
     except ValueError:
-        raise ConfigError(f"order: expected 'N1,N2,s1,s2', got {order!r}")
+        raise ConfigError(f"order: expected 'N1,N2,s1,s2', got {_VALUE_REPR.repr(order)}")
     if nc < 1:
         raise ConfigError(f"layers: need at least one memory-block layer, got {nc}")
     if nd < 0:
@@ -222,7 +218,8 @@ PRESETS = {
 
 def preset_config(name: str, precision: str = DEFAULT_PRECISION) -> NetworkConfig:
     if not isinstance(name, str) or name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; have {' '.join(sorted(PRESETS))}")
+        raise ConfigError(f"unknown preset {_VALUE_REPR.repr(name)}; "
+                          f"have {' '.join(sorted(PRESETS))}")
     return expand_shorthand(*PRESETS[name], precision=precision)
 
 
@@ -237,7 +234,7 @@ _LAYER_TYPES = {"dfsmn": DfsmnLayerSpec, "fc": FcLayerSpec}
 def _reject_unknown(d: dict, allowed: set, loc: str) -> None:
     extra = set(d) - allowed
     if extra:
-        raise ConfigError(f"{loc}: unknown key(s) {sorted(extra)}")
+        raise ConfigError(f"{loc}: unknown key(s) {_VALUE_REPR.repr(sorted(extra))}")
 
 
 def _given(doc: dict, *keys) -> dict:
@@ -305,7 +302,7 @@ def parse_config(text: str) -> NetworkConfig:
             raise ConfigError(f"{loc}: expected an object with a 'type' key")
         kind = entry["type"]
         if not isinstance(kind, str) or kind not in _LAYER_TYPES:
-            raise ConfigError(f"{loc}.type: unknown {kind!r}")
+            raise ConfigError(f"{loc}.type: unknown {_VALUE_REPR.repr(kind)}")
         specs.append(_spec_from(_LAYER_TYPES[kind], entry, loc, extras=("type",)))
     return NetworkConfig(layers=tuple(specs), **common)
 
@@ -448,7 +445,7 @@ def infer(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds=None) -> 
 def _layer_caches(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds):
     """Run the layers bottom to top, yielding each one's cache. A layer reads
     its input, and a skip layer its skip sequence (ptilde), from the previous
-    layer's cache; validate_config makes that layer a memory-block layer."""
+    layer's cache; NetworkConfig makes that layer a memory-block layer."""
     h = as_sequence(input_seq, dtype=cfg.dtype())
     if h.shape[1] != cfg.input_dim:
         raise ShapeError(f"input dim {h.shape[1]} != configured {cfg.input_dim}")

@@ -85,8 +85,8 @@ def _mse_grad(pred_streams: dict, target_streams: dict) -> dict:
 class LrScheduler:
     """Starts at config.lr and decays it by DECAY_FACTOR after
     config.patience consecutive validation evaluations whose relative
-    improvement over the best seen falls short of config.min_improvement.
-    At most one decay per evaluation."""
+    improvement over the best seen (none over a best of 0) falls short of
+    config.min_improvement. At most one decay per evaluation."""
 
     config: TrainConfig
     lr: float = field(init=False)
@@ -97,15 +97,12 @@ class LrScheduler:
         self.lr = self.config.lr
 
     def step(self, validation_mse: float) -> float:
-        if not math.isfinite(validation_mse):
-            raise ValueError(f"validation MSE must be finite, got {validation_mse}")
+        if not (math.isfinite(validation_mse) and validation_mse >= 0):
+            raise ValueError(f"validation MSE must be finite and >= 0, got {validation_mse}")
         if self.best is None:
             self.best = validation_mse
             return self.lr
-        if self.best > 0:
-            improvement = (self.best - validation_mse) / self.best
-        else:
-            improvement = math.inf if validation_mse < self.best else 0.0
+        improvement = (self.best - validation_mse) / self.best if self.best > 0 else 0.0
         if improvement >= self.config.min_improvement:
             self.streak = 0
         else:

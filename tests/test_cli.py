@@ -16,7 +16,7 @@ from dfsmn.features import (SequenceData, load_dataset, read_feature, read_manif
 from dfsmn.model_io import MAGIC, VERSION, save_model
 from dfsmn.network import build_network, config_to_json, expand_shorthand, parse_config
 from dfsmn.tensor import Counter64
-from test_network import LONG_VALUE_DOCS, LONG_VALUE_FIELDS
+from test_network import LONG, LONG_VALUE_DOCS, LONG_VALUE_FIELDS, MIXED_WIDTH_DOC
 
 FP64_TANH_CONFIG = {
     "input_dim": 4,
@@ -116,6 +116,16 @@ class TestAnalyze:
         assert len(captured.err) < len(where) + 200, captured.err[:300]
         assert captured.out == ""
 
+    def test_long_preset_exits_2_printed_short(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"preset": LONG}))
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        where = f"error: {cfg}: "
+        assert captured.err.startswith(f"{where}unknown preset 'xxx"), captured.err[:300]
+        assert len(captured.err) < len(where) + 300, captured.err[:300]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("doc,name,ref_size_mb", [
         ({"preset": "E"}, "E", "87.0000"),
         ({"preset": "E", "precision": "fp64"}, "E", "87.0000"),
@@ -145,6 +155,14 @@ class TestGradcheck:
         assert main(["gradcheck", "--config", str(cfg), "--frames", "10",
                      "--seed", "1"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_skip_net_of_mixed_widths_passes(self, tmp_path, capsys):
+        # a skip needs its predecessor's projection width, not every block's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(MIXED_WIDTH_DOC))
+        assert main(["gradcheck", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith("PASS") and "skip" in out
 
     def test_missing_config_exits_2(self):
         assert main(["gradcheck", "--config", "/nope.json"]) == 2
@@ -678,6 +696,21 @@ class TestTrainEval:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not (tmp_path / "out.dfsmn").exists()
+
+    def test_long_manifest_frame_count_exits_2_printed_short(self, tmp_path, echo_data,
+                                                              capsys):
+        manifest = echo_data / "train" / "manifest.txt"
+        seq_id = manifest.read_text().split("\t")[0]
+        manifest.write_text(f"{seq_id}\t{LONG}\n")
+        model = tmp_path / "m.dfsmn"
+        assert main(["train", "--config", str(self._write_cfg(tmp_path)),
+                     "--data", str(echo_data), "--out", str(model)]) == 2
+        captured = capsys.readouterr()
+        where = f"error: {manifest}:1: "
+        assert captured.err.startswith(f"{where}frame count 'xxx"), captured.err[:300]
+        assert len(captured.err) < len(where) + 300, captured.err[:300]
+        assert captured.out == ""
+        assert not model.exists()
 
     def test_blank_manifest_lines_are_skipped(self, echo_data):
         manifest = echo_data / "train" / "manifest.txt"

@@ -555,6 +555,43 @@ class TestFcLayer:
         assert np.max(np.abs(out - (x @ w + b))) < 1e-12
 
 
+def one_wide_caches():
+    """The caches of a 1 x 1 memory-block layer and a 1 x 1 fc layer, one frame each."""
+    params = DfsmnLayerParams(np.eye(1), np.zeros(1), np.zeros((1, 1)), np.zeros((0, 1)),
+                              np.eye(1), np.zeros(1))
+    x = np.zeros((1, 1))
+    block = dfsmn_layer_forward(x, params, DfsmnLayerSpec(hidden=1, proj=1))[1]
+    return block, fc_layer_forward(x, np.eye(1), np.zeros(1), "linear")[1]
+
+
+# each argument check called with the smallest input that breaks it
+ARGUMENT_FAULTS = {
+    "activate_grad": (lambda: layers.activate_grad("gelu", np.zeros(1)), ValueError,
+                      "unknown activation 'gelu'; expected one of "
+                      "('relu', 'tanh', 'sigmoid', 'linear')"),
+    "project": (lambda: project(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(2)),
+                ShapeError, "bias shape (2,) != (1,)"),
+    "fc_layer_forward": (lambda: fc_layer_forward(np.zeros((1, 2)), np.zeros((1, 1)),
+                                                  np.zeros(1), "linear"),
+                         ShapeError, "fc input dim 2 != weight rows 1"),
+    "layer_backward": (lambda: layer_backward(one_wide_caches()[0], np.zeros((2, 1))),
+                       ShapeError, "grad shape (2, 1) != output shape (1, 1)"),
+    "fc_layer_backward": (lambda: fc_layer_backward(one_wide_caches()[1], np.zeros((2, 1))),
+                          ShapeError, "grad shape (2, 1) != output shape (1, 1)"),
+    "ahead_taps": (lambda: memory_block(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                                        DfsmnLayerSpec(proj=1)),
+                   ShapeError, "ahead taps shape (1, 1) != (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_FAULTS)
+def test_argument_fault_message(case):
+    call, error, message = ARGUMENT_FAULTS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def fd_layer_grads(x, params, cfg, skip, grad_out, step=1e-5):
     """Central finite differences of loss = sum(grad_out * output)."""
 

@@ -166,6 +166,27 @@ class TestTotalMse:
             total_mse({"a": np.zeros((1, 1))}, {"b": np.zeros((1, 1))})
 
 
+# each shape check called with the smallest input that breaks it
+SHAPE_FAULTS = {
+    "f0-length": (lambda: f0_rmse(np.zeros(1), np.zeros((2, 1)), np.ones(1), np.ones(2)),
+                  "length mismatch 1 vs 2"),
+    "stream-shape": (lambda: total_mse({"a": np.zeros((1, 1))}, {"a": np.zeros((1, 2))}),
+                     "stream 'a': shape (1, 1) vs (1, 2)"),
+    "no-scalars": (lambda: total_mse({}, {}), "no scalars to compare"),
+    "not-t-x-d": (lambda: bapd(np.zeros(1), np.zeros(1)),
+                  "expected T x D matrices, got (1,) and (1,)"),
+    "voicing-length": (lambda: uv_error(np.ones(1), np.ones(2)), "voicing length 1 != 2"),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_FAULTS)
+def test_shape_fault_message(case):
+    call, message = SHAPE_FAULTS[case]
+    with pytest.raises(ShapeError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 class TestMeasureProperties:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 100000))

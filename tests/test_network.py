@@ -85,6 +85,18 @@ def two_block_doc(second=None, stream=None):
             "output_streams": [{"name": "y", "dim": 1, **(stream or {})}]}
 
 
+# memory blocks of projection width 2, 3, and 3 with a skip from the second
+MIXED_WIDTH_DOC = {"input_dim": 4,
+                   "layers": [{"type": "dfsmn", "hidden": 6, "proj": 2, "n_back": 2,
+                               "n_ahead": 1},
+                              {"type": "dfsmn", "hidden": 6, "proj": 3, "n_back": 2,
+                               "n_ahead": 1},
+                              {"type": "dfsmn", "hidden": 6, "proj": 3, "n_back": 2,
+                               "n_ahead": 1, "skip": True},
+                              {"type": "fc", "hidden": 5}],
+                   "output_streams": [{"name": "y", "dim": 2}],
+                   "precision": "fp64"}
+
 BAD_DOCS = [
     (two_block_doc(second={"skip": "no"}), r"layers\[1\]\.skip"),
     (two_block_doc(second={"hidden": True}), r"layers\[1\]\.hidden"),
@@ -121,6 +133,8 @@ BAD_DOCS = [
      r"^output_streams\[0\]: needs 'name' and 'dim'$"),
     # a str is the document's text: json.dumps cannot write one this deep
     pytest.param("[" * 100000, r"^config is nested too deeply to parse$", id="deep"),
+    (dict(two_block_doc(), order="1,1,1,1"),
+     r"^config: 'order' only applies to shorthand 'layers'$"),
 ]
 
 
@@ -286,6 +300,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="skip"):
             parse_config(json.dumps(doc))
 
+    def test_skip_needs_only_its_predecessors_width(self):
+        # blocks of width 2, 3 and 3 with skip: only the skip pair must agree
+        cfg = parse_config(json.dumps(MIXED_WIDTH_DOC))
+        assert [(s.proj, s.skip) for s in cfg.layers[:3]] == [(2, False), (3, False),
+                                                               (3, True)]
+        assert parse_config(config_to_json(cfg)) == cfg
+
+    @pytest.mark.parametrize("projs,want,got", [((2, 3), 2, 3), ((3, 3, 2), 3, 2),
+                                                ((2, 4, 2), 4, 2)],
+                             ids=["2-3", "3-3-2", "2-4-2"])
+    def test_skip_width_fault_names_the_skip_layer(self, projs, want, got):
+        li = len(projs) - 1
+        layers = tuple(DfsmnLayerSpec(hidden=4, proj=p, skip=(i == li))
+                       for i, p in enumerate(projs))
+        with pytest.raises(ConfigError) as caught:
+            NetworkConfig(input_dim=3, layers=layers)
+        assert str(caught.value) == (f"layers[{li}].proj: skip needs the preceding "
+                                     f"layer's projection width {want}, got {got}")
+
     def test_not_json(self):
         with pytest.raises(ConfigError):
             parse_config("not json at all")
@@ -401,6 +434,60 @@ class TestFieldRules:
 
         with pytest.raises(TypeError, match=r"Unruled\.width declares no rule"):
             check_fields(Unruled())
+
+
+LONG = "x" * 100_000
+# a config document fault that echoes the 100,000-character value LONG, and
+# where its message starts
+LONG_ECHO_DOCS = {
+    "shorthand-layers": ({"layers": LONG, "order": "1,1,1,1"},
+                         "layers: expected 'Nc+Nd', got "),
+    "shorthand-order": ({"layers": "2+1", "order": LONG},
+                        "order: expected 'N1,N2,s1,s2', got "),
+    "preset": ({"preset": LONG}, "unknown preset "),
+    "layer-type": ({"layers": [{"type": LONG}]}, "layers[0].type: unknown "),
+    "top-key": (dict(two_block_doc(), **{LONG: 1}), "config: unknown key(s) "),
+    "layer-key": (two_block_doc(second={LONG: 1}), "layers[1]: unknown key(s) "),
+    "stream-key": (two_block_doc(stream={LONG: 1}), "output_streams[0]: unknown key(s) "),
+    "stream-names": (dict(two_block_doc(), output_streams=[{"name": LONG, "dim": 1}] * 2),
+                     "output_streams: duplicate names in "),
+}
+
+
+def long_echo_file(tmp_path, case):
+    """A one-sequence dataset whose manifest or feature header holds a long
+    value, the loader that echoes it, and the faulty file's path."""
+    write_dataset(tmp_path, [SequenceData("a", np.zeros((3, 2), np.float32))])
+    manifest = tmp_path / features.MANIFEST_NAME
+    if case == "manifest-id":
+        manifest.write_text(f"{LONG}\t3\n{LONG}\t3\n")
+        return read_manifest, f"{manifest}:2: id "
+    if case == "manifest-frames":
+        manifest.write_text(f"a\t{LONG}\n")
+        return read_manifest, f"{manifest}:1: frame count "
+    path = tmp_path / "a.input.feat"
+    write_feature(path, "n" * 1_000_000, np.zeros((3, 2), np.float32))
+    return load_dataset, f"{path}: header stream "
+
+
+class TestEchoedValue:
+    @pytest.mark.parametrize("case", [*LONG_ECHO_DOCS, "manifest-id", "manifest-frames",
+                                      "header-stream"])
+    def test_long_value_printed_short(self, tmp_path, case):
+        # printed whole, each message runs to 100,026-1,000,068 characters
+        if case in LONG_ECHO_DOCS:
+            doc, where = LONG_ECHO_DOCS[case]
+            error, load, source = ConfigError, parse_config, json.dumps(doc)
+        else:
+            load, where = long_echo_file(tmp_path, case)
+            error = ModelFileError if case == "header-stream" else ValueError
+            source = tmp_path
+        with pytest.raises(error) as caught:
+            load(source)
+        message = str(caught.value)
+        assert type(caught.value) is error
+        assert message.startswith(where), message[:300]
+        assert len(message) < 300, message[:300]
 
 
 # pinned: count_params reads the same layout table that zeros_network allocates
@@ -590,6 +677,13 @@ class TestBackward:
         _, cache = net.forward(params, cfg, x)
         with pytest.raises(KeyError, match="v"):
             net.backward(cache, {"y": np.zeros((6, 2))})
+
+    def test_wrong_shape_stream_grad_rejected(self):
+        cfg, params, x = self._setup()
+        _, cache = net.forward(params, cfg, x)
+        with pytest.raises(ShapeError, match=r"^stream 'y': grad shape \(6, 1\) != "
+                                             r"\(6, 2\)$"):
+            net.backward(cache, {"y": np.zeros((6, 1)), "v": np.zeros((6, 1))})
 
     def test_multistream_equals_sum_of_single_streams(self):
         cfg, params, x = self._setup(3)
@@ -854,6 +948,13 @@ class TestDataset:
                                              rf"{re.escape(repr(frames))} is not a "
                                              rf"non-negative integer"):
             read_manifest(tmp_path)
+
+    def test_payload_not_2d_rejected(self, tmp_path):
+        path = tmp_path / "f.feat"
+        with pytest.raises(ValueError, match=r"^feature payload must be T x D, "
+                                             r"got shape \(3,\)$"):
+            write_feature(path, "y", np.zeros(3))
+        assert not path.exists()
 
     def test_empty_manifest_rejected(self, tmp_path):
         write_dataset(tmp_path, [])

@@ -68,6 +68,12 @@ class TestSeededNormal:
     def test_different_seeds_differ(self):
         assert not np.array_equal(seeded_normal(1, 5, 5), seeded_normal(2, 5, 5))
 
+    @pytest.mark.parametrize("rows,cols", [(0, 1), (1, 0)])
+    def test_rejects_a_dimension_below_1(self, rows, cols):
+        with pytest.raises(ShapeError, match=rf"^matrix dims must be positive, "
+                                             rf"got {rows}x{cols}$"):
+            seeded_normal(1, rows, cols)
+
     def test_moments(self):
         out = seeded_normal(42, 1000, 100)
         assert abs(out.mean()) < 0.02
@@ -191,6 +197,10 @@ class TestCounter64:
         draws = [rng.below(7) for _ in range(500)]
         assert set(draws) <= set(range(7))
         assert len(set(draws)) == 7
+
+    def test_below_rejects_an_empty_range(self):
+        with pytest.raises(ValueError, match=r"^bound must be positive$"):
+            Counter64(8).below(0)
 
     def test_shuffle_deterministic(self):
         x = list(range(20))

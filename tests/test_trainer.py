@@ -245,6 +245,17 @@ class TestLrScheduler:
         with pytest.raises(ValueError):
             sched.step(float("nan"))
 
+    def test_rejects_negative(self):
+        sched = LrScheduler(TrainConfig(lr=0.1))
+        with pytest.raises(ValueError, match=r"^validation MSE must be finite and >= 0, "
+                                             r"got -1\.0$"):
+            sched.step(-1.0)
+
+    def test_zero_after_a_best_of_zero_is_a_stall(self):
+        sched = LrScheduler(TrainConfig(lr=1.0, patience=1))
+        sched.step(0.0)
+        assert sched.step(0.0) == pytest.approx(0.1)
+
 
 class TestGradCheck:
     def test_linear_memoryless_net_is_exact(self):
