@@ -119,14 +119,15 @@ def _paired_streams(ref_dir, hyp_dir) -> tuple:
     ref_set, hyp_set = load_dataset(ref_dir), load_dataset(hyp_dir)
     by_id = {seq.seq_id: seq for seq in hyp_set}
     ref_ids = {seq.seq_id for seq in ref_set}
+    show = net._VALUE_REPR.repr
     if by_id.keys() != ref_ids:
         raise ValueError(f"hypothesis {hyp_dir}: ids differ from reference: only in "
-                         f"reference {sorted(ref_ids - by_id.keys())}, only in "
-                         f"hypothesis {sorted(by_id.keys() - ref_ids)}")
+                         f"reference {show(sorted(ref_ids - by_id.keys()))}, only in "
+                         f"hypothesis {show(sorted(by_id.keys() - ref_ids))}")
     unequal = [seq.seq_id for seq in ref_set if by_id[seq.seq_id].frames != seq.frames]
     if unequal:
         raise ValueError(f"hypothesis {hyp_dir}: frame counts differ from reference "
-                         f"for {unequal}")
+                         f"for {show(unequal)}")
     ref_names, hyp_names = (set().union(*(seq.targets for seq in dataset))
                             for dataset in (ref_set, hyp_set))
     names = sorted(ref_names & hyp_names)

@@ -40,19 +40,22 @@ def write_feature(path, stream_name: str, data: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(_header(FEATURE_MAGIC, FEATURE_VERSION, *arr.shape, len(name_bytes)))
         f.write(name_bytes)
-        f.write(arr.tobytes())
+        f.write(arr.data)
 
 
 def read_feature(path):
-    """Returns (stream_name, T x D float32 array). The payload size the
-    header claims is checked against the file's length before the array is
-    allocated, and the payload is read into it by _FileReader.fill. A NaN or
-    Inf value raises ModelFileError naming the file and its first place."""
+    """Returns (stream_name, T x D float32 array). The payload is skipped,
+    which checks the size the header claims against the file's length,
+    before the array is allocated and filled. A NaN or Inf value raises
+    ModelFileError naming the file and its first place."""
     with _FileReader.framed(path, FEATURE_MAGIC, FEATURE_VERSION) as r:
         frames, dim = r.u32(), r.u32()
         name = r.text("stream name")
-        data = r.read_array((frames, dim), np.float32)
-    if not np.isfinite(data).all():
+        offset = r.skip(frames * dim * 4)
+        data = np.empty((frames, dim), np.float32)
+        r.fill([(offset, data)])
+    # min or max is NaN or infinite if any value is, so no payload-sized mask is made
+    if not np.isfinite([data.min(initial=0), data.max(initial=0)]).all():
         t, d = np.argwhere(~np.isfinite(data))[0]
         raise ModelFileError(f"{path}: non-finite value at frame {t}, dim {d}")
     return name, data
@@ -133,7 +136,8 @@ def load_dataset(dirpath):
     dataset = []
     for seq_id, frames in manifest:
         if INPUT_STREAM not in streams_of[seq_id]:
-            raise FileNotFoundError(f"{dirpath}: sequence {seq_id} has no input file")
+            raise FileNotFoundError(f"{dirpath}: sequence {_VALUE_REPR.repr(seq_id)} "
+                                    f"has no input file")
         data = {}
         for stream in sorted(streams_of[seq_id]):
             path = os.path.join(dirpath, f"{seq_id}.{stream}.feat")

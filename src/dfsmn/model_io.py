@@ -8,26 +8,25 @@ Layout (all integers little-endian uint32 unless noted):
     tensors in declaration order, each as: ndim, dims..., raw payload
 
 Payload dtype follows the embedded config's precision flag ("<f4" or "<f8").
-Saving writes each tensor's buffer straight to the file. Loading makes two
-passes over the one open file. The header pass walks every tensor header in
-file order, checks it and records where the tensor's payload starts; the
-payload pass then reads every payload straight into its tensor with
-positioned reads (os.preadv, which the loader needs), on one thread per CPU,
-largest payload first. Neither direction holds a second copy of the
-parameters. The loader's tensors start uninitialised (no zero fill, no
-seeded init) and the reads write every byte of them. A failed load returns
+Saving writes each tensor's buffer straight to the file. A _FileReader has
+two moves, each checked against the file's length first, so no size a
+header claims sizes a read or an allocation unchecked: take(n) reads the
+next n bytes, skip(n) moves past them and returns their offset. Loading
+makes two passes over the one open file. The header pass checks every
+tensor header in file order and skips its payload; the payload pass, fill,
+then reads every payload straight into its uninitialised tensor with
+positioned reads (os.preadv, which the loader needs), on one thread per
+CPU, largest first. fill runs once, in a finally, so a failed load returns
 nothing and raises what a serial reader would: the first header or payload,
-in file order, that is malformed or comes back short. Every size a header
-claims is checked against the file's length before the read or allocation
-it would size. Round-trips are byte-exact: save(load(f)) reproduces f bit
-for bit. Feature files share the framing and the payload reads: `_header`
+in file order, that is malformed or comes back short. Neither direction
+holds a second copy of the parameters; save(load(f)) reproduces f bit for
+bit. Feature files share the framing and the payload reads: `_header`
 writes the magic and version, `_FileReader.framed` checks them and that no
 byte is left over, and `_FileReader.fill` reads payloads.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import sys
@@ -107,21 +106,20 @@ class _FileReader:
             e.args = (f"{path}: {e}",)
             raise
 
-    def _check_left(self, n: int) -> None:
-        """The next n bytes must lie inside the file."""
+    def skip(self, n: int) -> int:
+        """Move past the next n bytes, which must be in the file; returns their offset."""
         if self.pos + n > self.size:
             raise TruncatedFileError(
                 f"needed {n} bytes at offset {self.pos}, file has {self.size}")
-
-    def _claim(self, n: int) -> None:
-        """Advance past the next n bytes."""
-        self._check_left(n)
         self.pos += n
+        return self.pos - n
 
     def take(self, n: int) -> bytes:
-        self._claim(n)
+        """The next n bytes: skip(n), then a read there."""
+        offset = self.skip(n)
+        self.f.seek(offset)
         out = self.f.read(n)
-        _check_read(len(out), n, self.pos - n)
+        _check_read(len(out), n, offset)
         return out
 
     def u32(self) -> int:
@@ -133,14 +131,6 @@ class _FileReader:
             return self.take(self.u32()).decode("utf-8")
         except UnicodeDecodeError as e:
             raise ModelFileError(f"{what} is not valid utf-8: {e}")
-
-    def payload(self, arr: np.ndarray) -> tuple:
-        """Claim the next arr.nbytes bytes as the payload of arr, for fill to
-        read, and move past them; returns (offset, arr)."""
-        offset = self.pos
-        self._claim(arr.nbytes)
-        self.f.seek(self.pos)
-        return offset, arr
 
     def fill(self, payloads) -> None:
         """Read each (offset, arr) of payloads into its C-contiguous,
@@ -160,14 +150,6 @@ class _FileReader:
             _check_read(n, arr.nbytes, offset)
             if sys.byteorder == "big":
                 arr.byteswap(inplace=True)
-
-    def read_array(self, shape: tuple, dtype) -> np.ndarray:
-        """A new array of shape and native dtype, filled by fill; the file
-        must hold its bytes before it is allocated."""
-        self._check_left(math.prod(shape) * np.dtype(dtype).itemsize)
-        arr = np.empty(shape, dtype)
-        self.fill([self.payload(arr)])
-        return arr
 
 
 def _check_read(got: int, n: int, offset: int) -> None:
@@ -211,10 +193,9 @@ def load_model(path):
                 if shape != arr.shape:
                     raise ModelFileError(
                         f"tensor {path_name}: stored shape {shape} != expected {arr.shape}")
-                payloads.append(r.payload(arr))
-        except ModelFileError:
-            # a serial reader would have met a short payload before this header
+                payloads.append((r.skip(arr.nbytes), arr))
+        finally:
+            # on a header fault too: a serial reader would have met a short
+            # payload before it
             r.fill(payloads)
-            raise
-        r.fill(payloads)
     return params, cfg

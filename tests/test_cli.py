@@ -546,6 +546,19 @@ class TestTrainEval:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fault", ["foreign-ids", "differing-lengths"])
+    def test_eval_hyp_many_unpaired_exits_2_printed_short(self, tmp_path, capsys, fault):
+        # printed whole, the 120 ids of each list run to over 900 characters
+        ids = [f"u{i:03d}" for i in range(120)]
+        ref = self._mcep_set(tmp_path / "ref", [(seq_id, 2) for seq_id in ids])
+        hyp = self._mcep_set(tmp_path / "hyp", [("x" + seq_id, 2) for seq_id in ids]
+                             if fault == "foreign-ids" else [(seq_id, 3) for seq_id in ids])
+        assert main(["eval", "--data", ref, "--hyp", hyp]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: hypothesis {hyp}: "), captured.err[:300]
+        assert len(captured.err) < len("error: ") + 300, captured.err[:300]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("layer", [
         ECHO_TRAIN_CONFIG["layers"][0],
         {"type": "fc", "hidden": 8, "activation": "relu"}], ids=["memory-block", "fc-only"])
@@ -690,7 +703,7 @@ class TestTrainEval:
             message = f"{manifest}:1: expected 'id<TAB>frames'"
         else:
             (faulty / f"{seq_id}.input.feat").unlink()
-            message = f"{faulty}: sequence {seq_id} has no input file"
+            message = f"{faulty}: sequence '{seq_id}' has no input file"
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"

@@ -465,6 +465,9 @@ def long_echo_file(tmp_path, case):
     if case == "manifest-frames":
         manifest.write_text(f"a\t{LONG}\n")
         return read_manifest, f"{manifest}:1: frame count "
+    if case == "manifest-no-input":
+        manifest.write_text(f"{LONG}\t3\n")
+        return load_dataset, f"{tmp_path}: sequence "
     path = tmp_path / "a.input.feat"
     write_feature(path, "n" * 1_000_000, np.zeros((3, 2), np.float32))
     return load_dataset, f"{path}: header stream "
@@ -472,7 +475,7 @@ def long_echo_file(tmp_path, case):
 
 class TestEchoedValue:
     @pytest.mark.parametrize("case", [*LONG_ECHO_DOCS, "manifest-id", "manifest-frames",
-                                      "header-stream"])
+                                      "manifest-no-input", "header-stream"])
     def test_long_value_printed_short(self, tmp_path, case):
         # printed whole, each message runs to 100,026-1,000,068 characters
         if case in LONG_ECHO_DOCS:
@@ -480,7 +483,8 @@ class TestEchoedValue:
             error, load, source = ConfigError, parse_config, json.dumps(doc)
         else:
             load, where = long_echo_file(tmp_path, case)
-            error = ModelFileError if case == "header-stream" else ValueError
+            error = {"header-stream": ModelFileError,
+                     "manifest-no-input": FileNotFoundError}.get(case, ValueError)
             source = tmp_path
         with pytest.raises(error) as caught:
             load(source)
@@ -1155,6 +1159,16 @@ class TestModelFile:
         for (_, _, a), (_, _, b) in zip(iter_tensors(cfg, params),
                                         iter_tensors(cfg, loaded)):
             assert np.array_equal(a, b)
+
+    def test_feature_write_and_read_hold_no_second_copy(self, tmp_path):
+        data = np.arange(1100 * 1024, dtype=np.float32).reshape(1100, 1024)
+        assert data.nbytes > 4 << 20
+        path = tmp_path / "f.feat"
+        _, write_peak = self._traced_peak(write_feature, path, "y", data)
+        assert write_peak < 1 << 20
+        (name, got), read_peak = self._traced_peak(read_feature, path)
+        assert read_peak <= data.nbytes + (1 << 20)
+        assert name == "y" and np.array_equal(got, data)
 
     @pytest.mark.slow
     def test_preset_a_model_reports_full_count(self, tmp_path):
