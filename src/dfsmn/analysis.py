@@ -54,11 +54,8 @@ class CostReport:
     size_mb: float
     flops_per_frame: int
     gflops_per_second: float
-    ref_size_mb: Optional[float] = None     # published reference, when known
-    ref_gflops: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    ref_size_mb: Optional[float]     # published reference, when known
+    ref_gflops: Optional[float]
 
 
 def receptive_field(cfg: NetworkConfig):
@@ -133,7 +130,7 @@ def table_report(preset_names) -> tuple:
     baseline row carries published numbers only.
     """
     reports = [analyze(preset_config(n)) for n in preset_names]
-    records = [r.to_dict() for r in reports]
+    records = [asdict(r) for r in reports]
 
     header = (f"{'id':<6}{'back':>6}{'ahead':>7}{'back_ms':>9}{'ahead_ms':>10}"
               f"{'params':>13}{'size_mb':>9}{'ref_mb':>8}{'gflops':>8}{'ref_gf':>8}")

@@ -13,6 +13,7 @@ import errno
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from . import network as net
 from .features import load_dataset, write_dataset
 from .model_io import ModelFileError, load_model, save_model
 from .network import ConfigError, parse_config, preset_config
-from .tensor import ShapeError
 
 
 def _load_config_arg(args) -> net.NetworkConfig:
@@ -43,7 +43,7 @@ def cmd_analyze(args) -> int:
         return 0
     cfg = _load_config_arg(args)
     report = analysis.analyze(cfg)
-    for key, value in report.to_dict().items():
+    for key, value in asdict(report).items():
         if key == "param_count":
             print(f"{key:<18} {value:,}")
         elif isinstance(value, float):
@@ -53,7 +53,7 @@ def cmd_analyze(args) -> int:
         else:
             print(f"{key:<18} {value}")
     if args.out:
-        _write_records(args.out, [report.to_dict()])
+        _write_records(args.out, [asdict(report)])
     return 0
 
 
@@ -246,8 +246,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, ModelFileError, OSError, KeyError,
-            ValueError) as e:
+    except (ModelFileError, OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:

@@ -73,7 +73,16 @@ class SequenceData:
 
 
 def write_dataset(dirpath, dataset) -> None:
+    """Write dataset into dirpath. A .feat file there that this call does not
+    write, which load_dataset would read as a stream, raises FileExistsError
+    before any file is written."""
+    names = {f"{seq.seq_id}.{s}.feat" for seq in dataset for s in (INPUT_STREAM, *seq.targets)}
     os.makedirs(dirpath, exist_ok=True)
+    stale = sorted(fn for fn in os.listdir(dirpath)
+                   if fn.endswith(".feat") and fn not in names)
+    if stale:
+        raise FileExistsError(f"{dirpath} holds {_VALUE_REPR.repr(stale[0])}, "
+                              f"which this dataset does not write")
     lines = []
     for seq in dataset:
         write_feature(os.path.join(dirpath, f"{seq.seq_id}.{INPUT_STREAM}.feat"),

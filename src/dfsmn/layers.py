@@ -319,7 +319,7 @@ class DfsmnLayerCache:
     out_seq: np.ndarray
     params: DfsmnLayerParams
     spec: DfsmnLayerSpec
-    bounds: Optional[list] = None
+    bounds: Optional[list]
 
 
 @dataclass

@@ -307,15 +307,11 @@ def parse_config(text: str) -> NetworkConfig:
     return NetworkConfig(layers=tuple(specs), **common)
 
 
-def config_to_dict(cfg: NetworkConfig) -> dict:
-    kinds = {cls: kind for kind, cls in _LAYER_TYPES.items()}
-    return {**asdict(cfg),
-            "layers": [{"type": kinds[type(s)], **asdict(s)} for s in cfg.layers]}
-
-
 def config_to_json(cfg: NetworkConfig) -> str:
     """Canonical (byte-stable) JSON form used for embedding in model files."""
-    return json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    kinds = {cls: kind for kind, cls in _LAYER_TYPES.items()}
+    layers = [{"type": kinds[type(s)], **asdict(s)} for s in cfg.layers]
+    return json.dumps({**asdict(cfg), "layers": layers}, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +327,7 @@ class Affine:
 
 @dataclass
 class NetworkParams:
-    layers: list = field(default_factory=list)  # DfsmnLayerParams or Affine
+    layers: list                                # DfsmnLayerParams or Affine
     heads: dict = field(default_factory=dict)   # stream name -> Affine
 
 

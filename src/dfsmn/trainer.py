@@ -239,8 +239,7 @@ def _check_skip_gradient(cfg, cache, report, rng):
         out, _, _ = dfsmn_layer_forward(h_in, p, spec, skip)
         return 0.5 * float(np.sum(out * out))
 
-    out, c2, _ = dfsmn_layer_forward(h_in, p, spec, skip)
-    _, g_skip, _ = layer_backward(c2, out)
+    _, g_skip, _ = layer_backward(lcache, lcache.out_seq)
     for i in _sample(rng, skip.size, GRADCHECK_SAMPLES):
         _probe(report, "skip", local_loss, skip, g_skip, i)
 

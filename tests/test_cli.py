@@ -269,6 +269,18 @@ class TestSynthdata:
                      "--valid-sequences", "2"]) == 2
         assert "unrecognized arguments: --valid-sequences" in capsys.readouterr().err
 
+    def test_out_holding_another_dataset_exits_2_and_keeps_every_file(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["synthdata", "--task", "acoustic_toy", "--dim", "1", "--sequences", "4",
+                     "--len", "12", "--out", str(out)]) == 0
+        before = _tree_bytes(out)
+        assert main(["synthdata", "--task", "echo", "--sequences", "4", "--len", "12",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {out / 'train'} holds "
+                                           f"'train0000.bap.feat', which this dataset "
+                                           f"does not write\n")
+        assert _tree_bytes(out) == before
+
     def test_manifest_matches_headers(self, tmp_path):
         out = tmp_path / "d"
         assert main(["synthdata", "--task", "acoustic_toy", "--dim", "4",

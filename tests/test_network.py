@@ -965,6 +965,19 @@ class TestDataset:
         with pytest.raises(ValueError, match="manifest lists no sequences"):
             load_dataset(tmp_path)
 
+    def test_rewrite_of_the_same_files_passes_and_a_stray_stream_raises(self, tmp_path):
+        data = [SequenceData("s0", Counter64(8).normal(8).reshape(4, 2).astype(np.float32),
+                             {"y": np.zeros((4, 1), np.float32)})]
+        write_dataset(tmp_path, data)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        write_dataset(tmp_path, data)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        write_feature(tmp_path / "s0.z.feat", "z", np.zeros((4, 1), np.float32))
+        with pytest.raises(FileExistsError, match=rf"^{re.escape(str(tmp_path))} holds "
+                                                  rf"'s0.z.feat', which this dataset does "
+                                                  rf"not write$"):
+            write_dataset(tmp_path, data)
+
     def _two_streams(self, tmp_path):
         """A one-sequence dataset "s0" of 4 frames with streams input and y."""
         rng = Counter64(7)
