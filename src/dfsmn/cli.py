@@ -246,7 +246,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ModelFileError, OSError, KeyError, ValueError) as e:
+    except (ModelFileError, OSError, KeyError, ValueError, MemoryError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:

@@ -85,11 +85,8 @@ def write_dataset(dirpath, dataset) -> None:
                               f"which this dataset does not write")
     lines = []
     for seq in dataset:
-        write_feature(os.path.join(dirpath, f"{seq.seq_id}.{INPUT_STREAM}.feat"),
-                      INPUT_STREAM, seq.inputs)
-        for stream in sorted(seq.targets):
-            write_feature(os.path.join(dirpath, f"{seq.seq_id}.{stream}.feat"),
-                          stream, seq.targets[stream])
+        for stream, data in [(INPUT_STREAM, seq.inputs), *sorted(seq.targets.items())]:
+            write_feature(os.path.join(dirpath, f"{seq.seq_id}.{stream}.feat"), stream, data)
         lines.append(f"{seq.seq_id}\t{seq.frames}\n")
     with open(os.path.join(dirpath, MANIFEST_NAME), "w") as f:
         f.writelines(lines)

@@ -103,7 +103,13 @@ def activate_grad(name: str, out: np.ndarray) -> np.ndarray:
 
 
 def affine(h_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """h_seq @ weight + bias in one allocation: the bias is added in place."""
+    """h_seq @ weight + bias in one allocation: the bias is added in place.
+    The operand rule of every affine: ShapeError unless h_seq's width is
+    weight's row count and bias is one weight column long."""
+    if h_seq.shape[1] != weight.shape[0]:
+        raise ShapeError(f"input dim {h_seq.shape[1]} != weight rows {weight.shape[0]}")
+    if bias.shape != (weight.shape[1],):
+        raise ShapeError(f"bias shape {bias.shape} != ({weight.shape[1]},)")
     out = h_seq @ weight
     out += bias
     return out
@@ -128,11 +134,6 @@ class DfsmnLayerParams:
 
 def project(h_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Per-frame linear projection onto the memory-block width."""
-    if h_seq.shape[1] != weight.shape[0]:
-        raise ShapeError(
-            f"projection input dim {h_seq.shape[1]} != weight rows {weight.shape[0]}")
-    if bias.shape != (weight.shape[1],):
-        raise ShapeError(f"bias shape {bias.shape} != ({weight.shape[1]},)")
     return affine(h_seq, weight, bias)
 
 
@@ -348,8 +349,6 @@ def dfsmn_layer_forward(h_seq: np.ndarray, params: DfsmnLayerParams,
 def fc_layer_forward(h_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                      activation: str):
     """Plain per-frame affine layer."""
-    if h_seq.shape[1] != weight.shape[0]:
-        raise ShapeError(f"fc input dim {h_seq.shape[1]} != weight rows {weight.shape[0]}")
     out = activate(activation, affine(h_seq, weight, bias))
     return out, FcLayerCache(h_seq, out, weight, activation)
 
@@ -363,9 +362,6 @@ def layer_backward(cache: DfsmnLayerCache, grad_out: np.ndarray,
     Returns (grad_in, grad_skip or None, param gradients shaped like the
     layer's DfsmnLayerParams).
     """
-    if grad_out.shape != cache.out_seq.shape:
-        raise ShapeError(
-            f"grad shape {grad_out.shape} != output shape {cache.out_seq.shape}")
     p = cache.params
     dptilde, d_out_weight, d_out_bias = _affine_backward(
         grad_out, cache.ptilde_seq, p.out_weight, cache.spec.activation, cache.out_seq)
@@ -381,9 +377,6 @@ def layer_backward(cache: DfsmnLayerCache, grad_out: np.ndarray,
 
 def fc_layer_backward(cache: FcLayerCache, grad_out: np.ndarray):
     """Backward pass of a plain affine layer: (grad_in, d weight, d bias)."""
-    if grad_out.shape != cache.out_seq.shape:
-        raise ShapeError(
-            f"grad shape {grad_out.shape} != output shape {cache.out_seq.shape}")
     return _affine_backward(grad_out, cache.h_seq, cache.weight, cache.activation,
                             cache.out_seq)
 
@@ -391,7 +384,10 @@ def fc_layer_backward(cache: FcLayerCache, grad_out: np.ndarray):
 def _affine_backward(grad_out: np.ndarray, h_seq: np.ndarray, weight: np.ndarray,
                      activation: str = "linear", out: Optional[np.ndarray] = None):
     """(d h_seq, d weight, d bias) of out = act(h_seq @ weight + bias), the
-    activation's derivative read from out; a linear one passes grad_out on."""
+    activation's derivative read from out; a linear one passes grad_out on.
+    ShapeError if out is given and grad_out's shape is not out's."""
+    if out is not None and grad_out.shape != out.shape:
+        raise ShapeError(f"grad shape {grad_out.shape} != output shape {out.shape}")
     dpre = grad_out if activation == "linear" else grad_out * activate_grad(activation, out)
     return dpre @ weight.T, h_seq.T @ dpre, dpre.sum(axis=0)
 

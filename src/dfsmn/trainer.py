@@ -385,8 +385,7 @@ def predict(params, cfg, dataset) -> dict:
     order. Sequences are forwarded in packed chunks of >= EVAL_FRAMES frames
     with taps kept inside each sequence and no cache for backward (network.infer);
     only inputs are read."""
-    chunks = [net.infer(params, cfg, np.concatenate([seq.inputs for seq in batch]),
-                        bounds=_bounds(batch))
+    chunks = [net.infer(params, cfg, *_pack(batch))
               for batch in _batches(range(len(dataset)), dataset, EVAL_FRAMES)]
     return {s.name: np.concatenate([outs[s.name] for outs in chunks])
             for s in cfg.output_streams}
@@ -400,12 +399,6 @@ def evaluate_mse(params, cfg, dataset) -> float:
     return multitask_mse(pred, stack_targets(dataset, pred, cfg.dtype()))
 
 
-def _bounds(batch) -> list:
-    """The (start, end) rows of each sequence once batch is stacked."""
-    ends = np.cumsum([seq.frames for seq in batch]).tolist()
-    return list(zip([0] + ends[:-1], ends))
-
-
 def stack_targets(dataset, names, dtype=None) -> dict:
     """Each named target stream stacked over dataset in its order, cast to
     dtype if one is given; check_streams has held dataset to its rule."""
@@ -413,12 +406,11 @@ def stack_targets(dataset, names, dtype=None) -> dict:
             for name in names}
 
 
-def _pack(batch, cfg: NetworkConfig):
-    """Sequences stacked into one frame matrix: (inputs, {stream: targets in
-    cfg precision}, the (start, end) rows of each sequence)."""
-    return (np.concatenate([seq.inputs for seq in batch]),
-            stack_targets(batch, [s.name for s in cfg.output_streams], cfg.dtype()),
-            _bounds(batch))
+def _pack(batch):
+    """Sequences stacked into one frame matrix: (inputs, the (start, end) rows
+    of each sequence)."""
+    ends = np.cumsum([seq.frames for seq in batch]).tolist()
+    return np.concatenate([seq.inputs for seq in batch]), list(zip([0] + ends[:-1], ends))
 
 
 def _batches(order, dataset, batch_frames):
@@ -450,13 +442,15 @@ def train(cfg: NetworkConfig, params: NetworkParams, dataset, train_cfg: TrainCo
         raise ValueError("empty validation set (pass None to validate on the training set)")
     valid_set = dataset if valid is None else valid
     check_dataset(cfg, valid_set)
+    names = [s.name for s in cfg.output_streams]
     history = []
     for epoch in range(train_cfg.max_epochs):
         order = list(range(len(dataset)))
         Counter64(derive_seed(train_cfg.seed, epoch)).shuffle(order)
         epoch_loss = 0.0
         for bi, batch in enumerate(_batches(order, dataset, train_cfg.batch_frames)):
-            inputs, targets, bounds = _pack(batch, cfg)
+            inputs, bounds = _pack(batch)
+            targets = stack_targets(batch, names, cfg.dtype())
             total_frames = len(inputs)
             outs, cache = net.forward(params, cfg, inputs, bounds=bounds)
             batch_loss = 0.0

@@ -126,6 +126,20 @@ class TestAnalyze:
         assert len(captured.err) < len(where) + 300, captured.err[:300]
         assert captured.out == ""
 
+    # numpy refuses the 29.1 TiB array before it touches a page
+    @pytest.mark.parametrize("command,hidden,fault", [
+        ("gradcheck", 10 ** 12, "Unable to allocate 29.1 TiB"),
+        ("analyze", 10 ** 400, "too large for a float")], ids=["allocation", "float"])
+    def test_oversized_setting_exits_2(self, tmp_path, capsys, command, hidden, fault):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"layers": [{"type": "dfsmn", "hidden": hidden, "proj": 4}],
+                                   "input_dim": 3, "precision": "fp64",
+                                   "output_streams": [{"name": "y", "dim": 1}]}))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fault in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("doc,name,ref_size_mb", [
         ({"preset": "E"}, "E", "87.0000"),
         ({"preset": "E", "precision": "fp64"}, "E", "87.0000"),

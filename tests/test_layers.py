@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_acceptance
-from dfsmn import layers
+from dfsmn import layers, network
 from dfsmn.layers import (DfsmnLayerParams, dfsmn_layer_forward, fc_layer_backward,
                           fc_layer_forward, layer_backward, memory_block,
                           memory_block_backward, project)
@@ -564,6 +564,15 @@ def one_wide_caches():
     return block, fc_layer_forward(x, np.eye(1), np.zeros(1), "linear")[1]
 
 
+def forward_with_short_head_bias():
+    """network.forward of a 1-wide one-layer net whose 2-wide head has a 1-long bias."""
+    cfg = NetworkConfig(input_dim=1, layers=(DfsmnLayerSpec(hidden=1, proj=1),),
+                        output_streams=(StreamSpec("y", 2),))
+    params = network.zeros_network(cfg)
+    params.heads["y"].bias = np.zeros(1)
+    return network.forward(params, cfg, np.zeros((1, 1)))
+
+
 # each argument check called with the smallest input that breaks it
 ARGUMENT_FAULTS = {
     "activate_grad": (lambda: layers.activate_grad("gelu", np.zeros(1)), ValueError,
@@ -573,7 +582,18 @@ ARGUMENT_FAULTS = {
                 ShapeError, "bias shape (2,) != (1,)"),
     "fc_layer_forward": (lambda: fc_layer_forward(np.zeros((1, 2)), np.zeros((1, 1)),
                                                   np.zeros(1), "linear"),
-                         ShapeError, "fc input dim 2 != weight rows 1"),
+                         ShapeError, "input dim 2 != weight rows 1"),
+    "fc_layer_bias": (lambda: fc_layer_forward(np.zeros((1, 1)), np.zeros((1, 2)),
+                                               np.zeros(1), "linear"),
+                      ShapeError, "bias shape (1,) != (2,)"),
+    "output_transform_bias": (lambda: dfsmn_layer_forward(
+                                  np.zeros((1, 1)),
+                                  DfsmnLayerParams(np.eye(1), np.zeros(1), np.zeros((1, 1)),
+                                                   np.zeros((0, 1)), np.zeros((1, 2)),
+                                                   np.zeros(1)),
+                                  DfsmnLayerSpec(hidden=2, proj=1)),
+                              ShapeError, "bias shape (1,) != (2,)"),
+    "head_bias": (forward_with_short_head_bias, ShapeError, "bias shape (1,) != (2,)"),
     "layer_backward": (lambda: layer_backward(one_wide_caches()[0], np.zeros((2, 1))),
                        ShapeError, "grad shape (2, 1) != output shape (1, 1)"),
     "fc_layer_backward": (lambda: fc_layer_backward(one_wide_caches()[1], np.zeros((2, 1))),

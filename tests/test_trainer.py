@@ -109,7 +109,8 @@ def copy_params(cfg, params):
 def backward_on(cfg, params, seqs, lr=None):
     """One packed forward over seqs and network.backward in the mode lr picks;
     returns (backward's result, the spent cache)."""
-    inputs, targets, bounds = trainer._pack(seqs, cfg)
+    inputs, bounds = trainer._pack(seqs)
+    targets = trainer.stack_targets(seqs, [s.name for s in cfg.output_streams], cfg.dtype())
     outs, cache = net.forward(params, cfg, inputs, bounds=bounds)
     return net.backward(cache, trainer._mse_grad(outs, targets), lr=lr), cache
 
@@ -655,7 +656,9 @@ def rel_err(got, want) -> float:
 class TestPackedBatch:
     def test_loss_and_grads_equal_frame_weighted_per_sequence_sums(self):
         cfg, params, seqs = packing_case()
-        inputs, targets, bounds = trainer._pack(seqs, cfg)
+        inputs, bounds = trainer._pack(seqs)
+        targets = trainer.stack_targets(seqs, [s.name for s in cfg.output_streams],
+                                        cfg.dtype())
         assert bounds == [(0, 6), (6, 7), (7, 11), (11, 22)]
         outs, cache = net.forward(params, cfg, inputs, bounds=bounds)
         loss, grad_streams = multitask_mse(outs, targets), trainer._mse_grad(outs, targets)
