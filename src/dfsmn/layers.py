@@ -34,11 +34,11 @@ each is bit-exactly causal. A non-finite frame on the GEMM path also reaches the
 other rows of its blocks' windows (0 * inf is nan).
 
 Epilogues run in place: `affine` adds the bias to h @ W without a second
-array and `activate` overwrites its argument. A layer cache holds h, p,
-ptilde and out; backward reads each activation's derivative from out
-(`activate_grad`), so no pre-activation is kept. Every affine backward
-(projection, output transform, fc layer and the network's heads) is
-`_affine_backward`.
+array and `activate` overwrites its argument. A layer forward returns its
+cache, the one record of the call, holding h, p, ptilde and out; backward
+reads each activation's derivative from out (`activate_grad`), so no
+pre-activation is kept. Every affine backward (projection, output
+transform, fc layer and the network's heads) is `_affine_backward`.
 """
 
 from __future__ import annotations
@@ -333,24 +333,24 @@ class FcLayerCache:
 
 def dfsmn_layer_forward(h_seq: np.ndarray, params: DfsmnLayerParams,
                         spec: DfsmnLayerSpec, skip_seq: Optional[np.ndarray] = None,
-                        bounds=None):
+                        bounds=None) -> DfsmnLayerCache:
     """Full layer: project -> memory block -> output transform (spec.activation).
 
-    Returns (h_next, cache, ptilde); ptilde is what a following layer's skip
-    input consumes. bounds is passed to memory_block and kept for backward.
+    Returns the layer's cache: output in out_seq, a following skip layer's
+    input in ptilde_seq. bounds is passed to memory_block and kept for backward.
     """
     p_seq = project(h_seq, params.proj_weight, params.proj_bias)
     ptilde = memory_block(p_seq, params.back_taps, params.ahead_taps, spec, skip_seq,
                           bounds=bounds)
     out = activate(spec.activation, affine(ptilde, params.out_weight, params.out_bias))
-    return out, DfsmnLayerCache(h_seq, p_seq, ptilde, out, params, spec, bounds), ptilde
+    return DfsmnLayerCache(h_seq, p_seq, ptilde, out, params, spec, bounds)
 
 
 def fc_layer_forward(h_seq: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                     activation: str):
-    """Plain per-frame affine layer."""
+                     activation: str) -> FcLayerCache:
+    """Plain per-frame affine layer; returns its cache, output in out_seq."""
     out = activate(activation, affine(h_seq, weight, bias))
-    return out, FcLayerCache(h_seq, out, weight, activation)
+    return FcLayerCache(h_seq, out, weight, activation)
 
 
 def layer_backward(cache: DfsmnLayerCache, grad_out: np.ndarray,

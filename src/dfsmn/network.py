@@ -449,9 +449,9 @@ def _layer_caches(params: NetworkParams, cfg: NetworkConfig, input_seq, bounds):
     for spec, p in zip(cfg.layers, params.layers):
         if isinstance(spec, DfsmnLayerSpec):
             cache = L.dfsmn_layer_forward(h, p, spec, cache.ptilde_seq if spec.skip else None,
-                                          bounds=bounds)[1]
+                                          bounds=bounds)
         else:
-            cache = L.fc_layer_forward(h, p.weight, p.bias, spec.activation)[1]
+            cache = L.fc_layer_forward(h, p.weight, p.bias, spec.activation)
         h = cache.out_seq
         yield cache
 

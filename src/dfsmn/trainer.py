@@ -236,7 +236,7 @@ def _check_skip_gradient(cfg, cache, report, rng):
     p = lcache.params
 
     def local_loss() -> float:
-        out, _, _ = dfsmn_layer_forward(h_in, p, spec, skip)
+        out = dfsmn_layer_forward(h_in, p, spec, skip).out_seq
         return 0.5 * float(np.sum(out * out))
 
     _, g_skip, _ = layer_backward(lcache, lcache.out_seq)

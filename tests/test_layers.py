@@ -407,6 +407,37 @@ class TestGemmPath:
         for x in (out, gp):
             assert np.isfinite(x[:17]).all() and np.isfinite(x[20:]).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order,stride,T", [(80, 2, 100), (80, 2, 146), (40, 2, 60),
+                                                (20, 1, 12)])
+    def test_taps_past_the_end_read_only_padding(self, order, stride, T, dtype):
+        # dropping the taps whose offset reaches past the sequence leaves the
+        # forward, the input gradient and the kept taps' gradients byte for
+        # byte, and the dropped taps' gradients are exactly 0: the
+        # precondition of truncating the filter on short sequences
+        kept = (T - 1) // stride
+        assert kept < order
+        spec = DfsmnLayerSpec(n_back=order, n_ahead=order, stride_back=stride,
+                              stride_ahead=stride)
+        short = DfsmnLayerSpec(n_back=kept, n_ahead=kept, stride_back=stride,
+                               stride_ahead=stride)
+        rng = Counter64(33)
+        p, g = (rng.normal(T * 16).reshape(T, 16).astype(dtype) for _ in range(2))
+        scale = 0.5 / math.sqrt(2 * order + 1)
+        back, ahead = ((scale * rng.normal(n * 16)).reshape(n, 16).astype(dtype)
+                       for n in (order + 1, order))
+        with gemm_path():
+            out = memory_block(p, back, ahead, spec)
+            gp, d_back, d_ahead, _ = memory_block_backward(g, p, back, ahead, spec)
+            out_s = memory_block(p, back[:kept + 1], ahead[:kept], short)
+            gp_s, d_back_s, d_ahead_s, _ = memory_block_backward(
+                g, p, back[:kept + 1], ahead[:kept], short)
+        assert out.tobytes() == out_s.tobytes()
+        assert gp.tobytes() == gp_s.tobytes()
+        assert d_back[:kept + 1].tobytes() == d_back_s.tobytes()
+        assert d_ahead[:kept].tobytes() == d_ahead_s.tobytes()
+        assert not d_back[kept + 1:].any() and not d_ahead[kept:].any()
+
     @pytest.mark.parametrize("check", [
         test_acceptance.TestCriterion2ReceptiveField().test_empirical_horizon_matches_analytic,
         test_acceptance.TestCriterion9Causality().test_fifty_random_unidirectional_configs,
@@ -432,7 +463,7 @@ class TestGemmPath:
 
 def layer_output(h_seq, weight, bias, activation):
     """The affine-plus-activation output transform, as fc_layer_forward computes it."""
-    return fc_layer_forward(h_seq, weight, bias, activation)[0]
+    return fc_layer_forward(h_seq, weight, bias, activation).out_seq
 
 
 class TestLayerOutput:
@@ -494,21 +525,21 @@ class TestDfsmnLayerForward:
         params = DfsmnLayerParams(np.eye(3), np.zeros(3), np.zeros((1, 3)),
                                   np.zeros((0, 3)), np.eye(3), np.zeros(3))
         x = Counter64(5).normal(9).reshape(3, 3)
-        out, _, ptilde = dfsmn_layer_forward(x, params, DfsmnLayerSpec(activation="linear"))
-        assert np.array_equal(out, x)
-        assert np.array_equal(ptilde, x)
+        cache = dfsmn_layer_forward(x, params, DfsmnLayerSpec(activation="linear"))
+        assert np.array_equal(cache.out_seq, x)
+        assert np.array_equal(cache.ptilde_seq, x)
 
     def test_composition_is_bit_exact(self):
         rng = Counter64(6)
         params = random_layer(rng, 3, 2, 2, 1, 1)
         cfg = DfsmnLayerSpec(n_back=1, n_ahead=1, activation="relu")
         x = rng.normal(15).reshape(5, 3)
-        out, _, ptilde = dfsmn_layer_forward(x, params, cfg)
+        cache = dfsmn_layer_forward(x, params, cfg)
         p = project(x, params.proj_weight, params.proj_bias)
         pt = memory_block(p, params.back_taps, params.ahead_taps, cfg)
         want = layer_output(pt, params.out_weight, params.out_bias, "relu")
-        assert np.array_equal(out, want)
-        assert np.array_equal(ptilde, pt)
+        assert np.array_equal(cache.out_seq, want)
+        assert np.array_equal(cache.ptilde_seq, pt)
 
     def test_direct_summation_oracle(self):
         # independent re-derivation with per-frame scalar loops
@@ -518,7 +549,7 @@ class TestDfsmnLayerForward:
         cfg = DfsmnLayerSpec(n_back=n1, n_ahead=n2, activation="tanh")
         T = 6
         x = rng.normal(T * d_in).reshape(T, d_in)
-        got, _, _ = dfsmn_layer_forward(x, params, cfg)
+        got = dfsmn_layer_forward(x, params, cfg).out_seq
 
         def p_at(t):
             if t < 0 or t >= T:
@@ -538,12 +569,12 @@ class TestDfsmnLayerForward:
 class TestFcLayer:
     def test_identity(self):
         x = Counter64(8).normal(6).reshape(2, 3)
-        out, _ = fc_layer_forward(x, np.eye(3), np.zeros(3), "linear")
+        out = fc_layer_forward(x, np.eye(3), np.zeros(3), "linear").out_seq
         assert np.array_equal(out, x)
 
     def test_sum_relu(self):
-        out, _ = fc_layer_forward(np.array([[-5.0, 1.0]]),
-                                  np.array([[1.0], [1.0]]), np.zeros(1), "relu")
+        out = fc_layer_forward(np.array([[-5.0, 1.0]]),
+                               np.array([[1.0], [1.0]]), np.zeros(1), "relu").out_seq
         assert np.array_equal(out, np.array([[0.0]]))
 
     def test_matches_matmul_oracle(self):
@@ -551,7 +582,7 @@ class TestFcLayer:
         x = rng.normal(8).reshape(2, 4)
         w = rng.normal(12).reshape(4, 3)
         b = rng.normal(3)
-        out, _ = fc_layer_forward(x, w, b, "linear")
+        out = fc_layer_forward(x, w, b, "linear").out_seq
         assert np.max(np.abs(out - (x @ w + b))) < 1e-12
 
 
@@ -560,8 +591,8 @@ def one_wide_caches():
     params = DfsmnLayerParams(np.eye(1), np.zeros(1), np.zeros((1, 1)), np.zeros((0, 1)),
                               np.eye(1), np.zeros(1))
     x = np.zeros((1, 1))
-    block = dfsmn_layer_forward(x, params, DfsmnLayerSpec(hidden=1, proj=1))[1]
-    return block, fc_layer_forward(x, np.eye(1), np.zeros(1), "linear")[1]
+    block = dfsmn_layer_forward(x, params, DfsmnLayerSpec(hidden=1, proj=1))
+    return block, fc_layer_forward(x, np.eye(1), np.zeros(1), "linear")
 
 
 def forward_with_short_head_bias():
@@ -616,7 +647,7 @@ def fd_layer_grads(x, params, cfg, skip, grad_out, step=1e-5):
     """Central finite differences of loss = sum(grad_out * output)."""
 
     def loss():
-        out, _, _ = dfsmn_layer_forward(x, params, cfg, skip)
+        out = dfsmn_layer_forward(x, params, cfg, skip).out_seq
         return float(np.sum(grad_out * out))
 
     def fd_of(arr):
@@ -640,7 +671,7 @@ class TestLayerBackward:
         params = random_layer(rng, 3, 2, 4, 1, 1)
         cfg = DfsmnLayerSpec(n_back=1, n_ahead=1, activation="tanh")
         x = rng.normal(12).reshape(4, 3)
-        _, cache, _ = dfsmn_layer_forward(x, params, cfg)
+        cache = dfsmn_layer_forward(x, params, cfg)
         grad_in, g_skip, grads = layer_backward(cache, np.zeros((4, 4)))
         assert not grad_in.any()
         assert g_skip is None
@@ -656,7 +687,7 @@ class TestLayerBackward:
         params = DfsmnLayerParams(v, np.zeros(2), np.zeros((1, 2)),
                                   np.zeros((0, 2)), np.eye(2), np.zeros(2))
         x = rng.normal(12).reshape(4, 3)
-        _, cache, _ = dfsmn_layer_forward(x, params, DfsmnLayerSpec(activation="linear"))
+        cache = dfsmn_layer_forward(x, params, DfsmnLayerSpec(activation="linear"))
         g = rng.normal(8).reshape(4, 2)
         grad_in, _, _ = layer_backward(cache, g)
         assert np.max(np.abs(grad_in - g @ v.T)) < 1e-12
@@ -671,7 +702,7 @@ class TestLayerBackward:
         x = rng.normal(T * 3).reshape(T, 3)
         skip = rng.normal(T * 2).reshape(T, 2)
         grad_out = rng.normal(T * 3).reshape(T, 3)
-        _, cache, _ = dfsmn_layer_forward(x, params, cfg, skip)
+        cache = dfsmn_layer_forward(x, params, cfg, skip)
         grad_in, g_skip, grads = layer_backward(cache, grad_out)
 
         fd = fd_layer_grads(x, params, cfg, skip, grad_out)
@@ -697,7 +728,7 @@ class TestLayerBackward:
         rng = Counter64(15)
         x = rng.normal(8).reshape(4, 2)
         skip = rng.normal(8).reshape(4, 2)
-        _, cache, _ = dfsmn_layer_forward(x, params, cfg, skip)
+        cache = dfsmn_layer_forward(x, params, cfg, skip)
         g = rng.normal(8).reshape(4, 2)
         extra = rng.normal(8).reshape(4, 2)
         _, g_skip, _ = layer_backward(cache, g, extra)
@@ -709,11 +740,11 @@ class TestLayerBackward:
         w = rng.normal(6).reshape(3, 2)
         b = rng.normal(2)
         grad_out = rng.normal(8).reshape(4, 2)
-        _, cache = fc_layer_forward(x, w, b, "tanh")
+        cache = fc_layer_forward(x, w, b, "tanh")
         grad_in, dw, db = fc_layer_backward(cache, grad_out)
 
         def loss():
-            out, _ = fc_layer_forward(x, w, b, "tanh")
+            out = fc_layer_forward(x, w, b, "tanh").out_seq
             return float(np.sum(grad_out * out))
 
         step = 1e-6
@@ -740,10 +771,10 @@ class TestTemporalProperties:
         cfg = DfsmnLayerSpec(n_back=n_back, stride_back=stride, activation="relu")
         T = 8
         x = rng.normal(T * 2).reshape(T, 2)
-        out1, _, _ = dfsmn_layer_forward(x, params, cfg)
+        out1 = dfsmn_layer_forward(x, params, cfg).out_seq
         x2 = x.copy()
         x2[t + 1:] += rng.normal((T - t - 1) * 2).reshape(-1, 2)
-        out2, _, _ = dfsmn_layer_forward(x2, params, cfg)
+        out2 = dfsmn_layer_forward(x2, params, cfg).out_seq
         assert np.array_equal(out1[:t + 1], out2[:t + 1])
 
     @settings(max_examples=20, deadline=None)
@@ -758,10 +789,10 @@ class TestTemporalProperties:
         T = horizon + 6
         t = 2
         x = rng.normal(T * 2).reshape(T, 2)
-        out1, _, _ = dfsmn_layer_forward(x, params, cfg)
+        out1 = dfsmn_layer_forward(x, params, cfg).out_seq
         x2 = x.copy()
         x2[t + horizon + 1:] += 1.0
-        out2, _, _ = dfsmn_layer_forward(x2, params, cfg)
+        out2 = dfsmn_layer_forward(x2, params, cfg).out_seq
         assert np.array_equal(out1[:t + 1], out2[:t + 1])
 
     def test_preactivation_skip_additivity(self):
@@ -774,8 +805,8 @@ class TestTemporalProperties:
         cfg_plain = DfsmnLayerSpec(n_back=1, n_ahead=1, skip=False, activation="relu")
         x = rng.normal(15).reshape(5, 3)
         skip = rng.normal(10).reshape(5, 2)
-        _, cache_s, _ = dfsmn_layer_forward(x, params, cfg_skip, skip)
-        _, cache_p, _ = dfsmn_layer_forward(x, params, cfg_plain)
+        cache_s = dfsmn_layer_forward(x, params, cfg_skip, skip)
+        cache_p = dfsmn_layer_forward(x, params, cfg_plain)
 
         def pre(cache):
             return cache.ptilde_seq @ params.out_weight + params.out_bias
@@ -790,7 +821,7 @@ class TestTemporalProperties:
         cfg_plain = DfsmnLayerSpec(n_back=1, skip=False, activation="linear")
         x = rng.normal(15).reshape(5, 3)
         skip = rng.normal(10).reshape(5, 2)
-        out_s, _, _ = dfsmn_layer_forward(x, params, cfg_skip, skip)
-        out_p, _, _ = dfsmn_layer_forward(x, params, cfg_plain)
+        out_s = dfsmn_layer_forward(x, params, cfg_skip, skip).out_seq
+        out_p = dfsmn_layer_forward(x, params, cfg_plain).out_seq
         # pure-skip contribution passes through the output weights only
         assert np.max(np.abs(out_s - (out_p + skip @ params.out_weight))) < 1e-12

@@ -621,9 +621,10 @@ class TestForward:
         for spec, p in zip(cfg.layers, params.layers):
             if isinstance(spec, DfsmnLayerSpec):
                 skip = prev if spec.skip else None
-                h, _, prev = L.dfsmn_layer_forward(h, p, spec, skip)
+                cache = L.dfsmn_layer_forward(h, p, spec, skip)
+                h, prev = cache.out_seq, cache.ptilde_seq
             else:
-                h, _ = L.fc_layer_forward(h, p.weight, p.bias, spec.activation)
+                h = L.fc_layer_forward(h, p.weight, p.bias, spec.activation).out_seq
                 prev = None
         want = h @ params.heads["y"].weight + params.heads["y"].bias
         assert np.max(np.abs(outs["y"] - want)) < 1e-12
